@@ -10,6 +10,12 @@ namespace hppc::rt {
 using ppc::rc_of;
 using ppc::set_rc;
 
+#if defined(HPPC_TRACE) && HPPC_TRACE
+constexpr bool kTraced = true;
+#else
+constexpr bool kTraced = false;
+#endif
+
 // ---------------------------------------------------------------------------
 // RtCtx
 // ---------------------------------------------------------------------------
@@ -80,12 +86,7 @@ std::size_t Runtime::shutdown() {
     Slot& slot = *sp;
     for (std::uint32_t src = 0; src < registry_.capacity(); ++src) {
       slot.rings[src].drain([](XcallCell& cell) {
-        if (cell.wait == nullptr) return;
-        if (cell.wait->abandoned()) {
-          cell.wait->ack_abandoned();
-        } else {
-          cell.wait->complete(Status::kCallAborted);
-        }
+        if (cell.wait != nullptr) cell.wait->abort();
       });
     }
     slot.ready_mask.store(0, std::memory_order_relaxed);
@@ -555,134 +556,83 @@ std::size_t Runtime::drain_ring(Slot& slot, XcallRing& ring) {
   // One batch: every cell published before the first gap, one acquire per
   // cell to observe its payload, one book-keeping store per batch.
   const std::size_t n = ring.drain([this, &slot, &run_cell](XcallCell& cell) {
-    // Frame cells first: their `deadline` lane carries the packed op word,
-    // so nothing below this branch may interpret it as a tick count.
-    if (cell_is_frame(cell)) {
-      CallFrame f = cell_frame(cell);
-      if (cell.wait != nullptr) {
-        XcallWait& w = *cell.wait;
-        // Frame calls carry no deadline, so a live caller never abandons;
-        // this is the shutdown/chaos path keeping the block reclaimable.
-        if (w.abandoned()) {
-          w.ack_abandoned();
-          slot.counters.inc(obs::Counter::kSharedLinesTouched);
-          return;
-        }
-        const Status rc = execute_frame(slot, cell.caller, f);
-        w.reply_target().w = f.w;
-        if (w.complete(rc)) {
-          slot.counters.inc(obs::Counter::kWaiterKicks);
-        }
-        slot.counters.inc(obs::Counter::kSharedLinesTouched);
-      } else {
-        execute_frame(slot, cell.caller, f);  // fire-and-forget frame
-      }
+    XcallWait* const w = cell.wait;
+    // Abandoned cell: the caller's deadline expired and it left. Ack
+    // (setting kDoneBit so the owning slot can recycle the block) and skip
+    // execution — the §4.5.2 "caller died mid-call" drain path. (Frame
+    // calls carry no deadline; for them this is the shutdown/chaos path.)
+    if (w != nullptr && w->abandoned()) {
+      w->ack_abandoned();
+      slot.counters.inc(obs::Counter::kSharedLinesTouched);
       return;
     }
-    if (cell.wait != nullptr) {
-      XcallWait& w = *cell.wait;
-      // Abandoned cell: the caller's deadline expired and it left. Ack
-      // (setting kDoneBit so the owning slot can recycle the block) and
-      // skip execution — the §4.5.2 "caller died mid-call" drain path.
-      if (w.abandoned()) {
-        w.ack_abandoned();
-        slot.counters.inc(obs::Counter::kSharedLinesTouched);
-        return;
-      }
-      RegSet& out = w.reply_target();
-      out = cell.regs;
-      // A sync cell that drained past its deadline is not executed late:
-      // the caller is abandoning (or about to) — fail it instead of
-      // burning a worker on a result nobody can use. If the caller's
-      // abandon CAS lands between the check above and the exchange below,
-      // the exchange still sets kDoneBit, so the block stays reclaimable.
-      if (cell.deadline != 0 && host_cycles() >= cell.deadline) {
-        set_rc(out, Status::kDeadlineExceeded);
-        if (w.complete(Status::kDeadlineExceeded)) {
-          slot.counters.inc(obs::Counter::kWaiterKicks);
-        }
-        slot.counters.inc(obs::Counter::kDeadlineExceeded);
-        slot.counters.inc(obs::Counter::kSharedLinesTouched);
-        HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(),
-                         slot.self_id, obs::TraceEvent::kDeadlineExceeded,
-                         cell_ep(cell.ep));
-        return;
-      }
-      // A cancelled cell is refused the same way: the root asked for the
-      // whole tree to stop, so an undrained cell completes kCallAborted
-      // instead of executing. The completion exchange kicks a parked
-      // caller exactly as a real result would.
-      if (const std::uint32_t tok = cell_token_idx(cell.ep);
-          tok != 0 && cancel_requested(tok)) {
-        set_rc(out, Status::kCallAborted);
-        if (w.complete(Status::kCallAborted)) {
-          slot.counters.inc(obs::Counter::kWaiterKicks);
-        }
-        slot.counters.inc(obs::Counter::kCallsCancelled);
-        slot.counters.inc(obs::Counter::kSharedLinesTouched);
-        HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(),
-                         slot.self_id, obs::TraceEvent::kCallCancelled,
-                         cell_ep(cell.ep));
-        return;
-      }
-      // Synchronous: reply into the caller's register file (stack waits)
-      // or the block's inline buffer (pooled deadline waits), then publish
-      // completion (release exchange) — one shared-line RMW, booked below.
-      const Status rc = run_cell(cell, out);
-      // Fault seams on the completion publish: a dropped completion (the
-      // caller MUST hold a deadline or it spins forever — chaos-only) and
-      // a delayed one (the failpoint burns its delay budget first).
-      if (HPPC_FAULT_POINT("rt.xcall.complete.drop")) {
-        slot.counters.inc(obs::Counter::kFaultsInjected);
-        HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(),
-                         slot.self_id, obs::TraceEvent::kFaultInject,
-                         cell.ep);
-        return;
-      }
-      if (HPPC_FAULT_POINT("rt.xcall.complete.delay")) {
-        slot.counters.inc(obs::Counter::kFaultsInjected);
-        HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(),
-                         slot.self_id, obs::TraceEvent::kFaultInject,
-                         cell.ep);
-      }
-      if (w.complete(rc)) {
-        // The completing exchange found the parked bit: we just futex-woke
-        // a waiter that gave up its timeslice to us.
-        slot.counters.inc(obs::Counter::kWaiterKicks);
-#if defined(HPPC_TRACE) && HPPC_TRACE
-        // The kick instant carries the cell's request ids so the exported
-        // trace shows WHICH call's completion woke the parked waiter.
-        slot.trace_ring.record_span(
-            obs::host_trace_now(),
-            static_cast<std::uint16_t>(slot.self_id),
-            obs::TraceEvent::kWaiterKick, cell_ep(cell.ep),
-            cell.tctx.trace_id, cell.tctx.span_id, 0);
-#endif
-      }
-      slot.counters.inc(obs::Counter::kSharedLinesTouched);
+    // Synchronous cells reply into the caller's register file (stack
+    // waits) or the block's inline buffer (pooled deadline waits);
+    // fire-and-forget cells execute on the cell's own payload.
+    RegSet& out = w != nullptr ? w->reply_target() : cell.regs;
+    Status rc;
+    if (cell_is_frame(cell)) {
+      // Frame cells first: their `deadline` lane carries the packed op
+      // word, so nothing below may interpret it as a tick count.
+      CallFrame f = cell_frame(cell);
+      rc = execute_frame(slot, cell.caller, f);
+      out.w = f.w;
     } else {
-      // Fire-and-forget. An expired deadline is the kCallerDied-style
-      // skip: drop the cell at drain time instead of executing it late.
-      if (cell.deadline != 0 && host_cycles() >= cell.deadline) {
-        slot.counters.inc(obs::Counter::kDeadlineExceeded);
-        HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(),
-                         slot.self_id, obs::TraceEvent::kDeadlineExceeded,
+      out = cell.regs;
+      // A cell that drained past its deadline — or whose root was
+      // cancelled — is refused, not executed late: a sync caller is
+      // abandoning (or is about to), a fire-and-forget cell is dropped. If
+      // the caller's abandon CAS lands between the check above and the
+      // completion below, the exchange still sets kDoneBit, so the block
+      // stays reclaimable; a parked caller is kicked as by a real result.
+      const std::uint32_t tok = cell_token_idx(cell.ep);
+      const bool expired = cell.deadline != 0 && host_cycles() >= cell.deadline;
+      if (expired || (tok != 0 && cancel_requested(tok))) {
+        rc = expired ? Status::kDeadlineExceeded : Status::kCallAborted;
+        set_rc(out, rc);
+        slot.counters.inc(expired ? obs::Counter::kDeadlineExceeded
+                                  : obs::Counter::kCallsCancelled);
+        HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot.self_id,
+                         expired ? obs::TraceEvent::kDeadlineExceeded
+                                 : obs::TraceEvent::kCallCancelled,
                          cell_ep(cell.ep));
-        return;
+      } else {
+        rc = run_cell(cell, out);
+        // Fault seams on a sync completion publish: a dropped completion
+        // (the caller MUST hold a deadline or it spins forever —
+        // chaos-only) and a delayed one (the failpoint burns its delay
+        // budget first).
+        if (w != nullptr && HPPC_FAULT_POINT("rt.xcall.complete.drop")) {
+          slot.counters.inc(obs::Counter::kFaultsInjected);
+          HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(),
+                           slot.self_id, obs::TraceEvent::kFaultInject,
+                           cell.ep);
+          return;
+        }
+        if (w != nullptr && HPPC_FAULT_POINT("rt.xcall.complete.delay")) {
+          slot.counters.inc(obs::Counter::kFaultsInjected);
+          HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(),
+                           slot.self_id, obs::TraceEvent::kFaultInject,
+                           cell.ep);
+        }
       }
-      // A cancelled fire-and-forget cell is simply dropped: nobody is
-      // waiting, and the root asked for the tree to stop.
-      if (const std::uint32_t tok = cell_token_idx(cell.ep);
-          tok != 0 && cancel_requested(tok)) {
-        slot.counters.inc(obs::Counter::kCallsCancelled);
-        HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(),
-                         slot.self_id, obs::TraceEvent::kCallCancelled,
-                         cell_ep(cell.ep));
-        return;
-      }
-      RegSet regs = cell.regs;  // results discarded
-      run_cell(cell, regs);
     }
+    if (w == nullptr) return;
+    // Publish completion (release exchange) — one shared-line RMW.
+    if (w->complete(rc)) {
+      // The completing exchange found the parked bit: we just futex-woke
+      // a waiter that gave up its timeslice to us.
+      slot.counters.inc(obs::Counter::kWaiterKicks);
+#if defined(HPPC_TRACE) && HPPC_TRACE
+      // The kick instant carries the cell's request ids so the exported
+      // trace shows WHICH call's completion woke the parked waiter.
+      slot.trace_ring.record_span(
+          obs::host_trace_now(), static_cast<std::uint16_t>(slot.self_id),
+          obs::TraceEvent::kWaiterKick, cell_ep(cell.ep), cell.tctx.trace_id,
+          cell.tctx.span_id, 0);
+#endif
+    }
+    slot.counters.inc(obs::Counter::kSharedLinesTouched);
   });
   if (n > 0) {
     // Drain accounting: xcall_cells_drained is the telemetry layer's
@@ -974,191 +924,464 @@ Status Runtime::call_frame(SlotId slot_id, ProgramId caller, CallFrame& f) {
   return execute_frame(*slots_[slot_id], caller, f);
 }
 
-Status Runtime::call_remote_frame(SlotId caller_slot, SlotId target,
-                                  ProgramId caller, CallFrame& f) {
-  HPPC_ASSERT(caller_slot < slots_.size());
-  HPPC_ASSERT(target < slots_.size());
-  if (target == caller_slot) return call_frame(caller_slot, caller, f);
+// ---------------------------------------------------------------------------
+// The cross-slot call pipeline
+// ---------------------------------------------------------------------------
+//
+// All five call_remote* lanes run the same machinery, as the paper runs its
+// sync, async, interrupt and upcall PPC variants on one: admit() folds the
+// request context and screens it, run_direct() executes on an idle target
+// under a gate steal, post_cells() publishes cells under the retry policy,
+// and collect() waits the completions out. A lane is only a cell encoder —
+// what a cell carries and where its reply lands — plus its Lane traits.
 
-  // Screen before touching the target (same contract as call_remote): an
-  // unbound service fails here, not after a cell is in flight.
-  const FrameServiceId id = frame_service_of(f.op);
-  if (id >= kMaxFrameServices ||
-      frame_services_[id].fn.load(std::memory_order_acquire) == nullptr) {
-    f.op = frame_with_rc(f.op, Status::kNoSuchEntryPoint);
-    return Status::kNoSuchEntryPoint;
+/// call_remote (K = 1) and call_remote_batch (K = a ring's worth): typed
+/// requests whose request context rides every cell.
+template <std::size_t K>
+struct Runtime::TypedCalls {
+  static constexpr std::size_t kChunk = K;
+  static constexpr Lane kLane =
+      K == 1 ? Lane{obs::Hist::kRttRemote, obs::SpanKind::kRemoteCall,
+                    obs::SpanKind::kRemoteDirect, true}
+             : Lane{obs::Hist::kRttBatched, obs::SpanKind::kBatch,
+                    obs::SpanKind::kBatch, true};
+  ProgramId caller;
+  EntryPointId id;
+  std::span<RegSet> regs;
+
+  std::size_t size() const { return regs.size(); }
+  Status run(Runtime& rt, Slot& tgt, std::size_t i) {
+    return rt.execute_remote(tgt, caller, id, regs[i]);
   }
-
-  Slot& me = *slots_[caller_slot];
-  Slot& tgt = *slots_[target];
-
-  // Frame cells repurpose the cell's deadline field as the op lane, so a
-  // frame call cannot carry a budget or token in flight. The request
-  // context is therefore enforced at ADMISSION ONLY: an already-expired or
-  // cancelled root refuses here, but a frame that clears admission runs to
-  // completion even if the root expires mid-flight (documented contract in
-  // docs/XCALL.md). The traffic class does apply — it rides the doorbell,
-  // not the cell.
-  const RequestCtx ambient = me.cur_req;
-  if (ambient.expired(host_cycles())) {
-    me.counters.inc(obs::Counter::kDeadlineExceeded);
-    f.op = frame_with_rc(f.op, Status::kDeadlineExceeded);
-    return Status::kDeadlineExceeded;
+  /// Stack waits reply straight into the caller's register file.
+  RegSet* reply_in_place(std::size_t i) { return &regs[i]; }
+  /// `reply` (null: no reply, only status `s`) carries its own rc.
+  void fill(XcallCell& cell, std::size_t i, XcallWait* w, const Call& c) {
+    encode_call(cell, caller, cell_pack_ep(id, c.req.cancel_token, c.bulk),
+                regs[i], w, c.req.abs_deadline_cycles, &c.post_ctx);
   }
-  if (ambient.cancel_token != 0 && cancel_requested(ambient.cancel_token)) {
-    me.counters.inc(obs::Counter::kCallsCancelled);
-    f.op = frame_with_rc(f.op, Status::kCallAborted);
-    return Status::kCallAborted;
+  void finish(std::size_t i, const RegSet* reply, Status s) {
+    if (reply == nullptr) {
+      set_rc(regs[i], s);
+    } else if (reply != &regs[i]) {
+      regs[i] = *reply;
+    }
   }
-  const bool bulk = ambient.traffic_class == TrafficClass::kBulk;
+};
 
-  // Admission control, same relaxed-read watermark as the typed path.
-  const std::uint32_t watermark = shed_watermark(ambient.traffic_class);
-  if (watermark != 0 && xcall_depth(target) >= watermark) {
-    me.counters.inc(obs::Counter::kCallsShed);
-    if (bulk) me.counters.inc(obs::Counter::kCallsShedBulk);
-    f.op = frame_with_rc(f.op, Status::kOverloaded);
-    return Status::kOverloaded;
+/// call_remote_frame (K = 1) and call_remote_frame_batch: Figure-4 frames
+/// inline in the cell. The op word takes the cell's deadline lane, so the
+/// request context is screened at admission only (docs/XCALL.md), and the
+/// lane books no histogram and mints no span.
+template <std::size_t K>
+struct Runtime::FrameCalls {
+  static constexpr std::size_t kChunk = K;
+  static constexpr Lane kLane{obs::Hist::kCount, obs::SpanKind::kCount,
+                              obs::SpanKind::kCount, false};
+  ProgramId caller;
+  std::span<CallFrame> frames;
+
+  std::size_t size() const { return frames.size(); }
+  Status run(Runtime& rt, Slot& tgt, std::size_t i) {
+    return rt.execute_frame(tgt, caller, frames[i]);
   }
-
-  // Idle target: LRPC-style direct execution under the gate.
-  if (tgt.gate.try_steal()) {
-    me.counters.inc(obs::Counter::kSharedLinesTouched, 2);
-    tgt.counters.inc(obs::Counter::kXcallDirect);
-    const Status rc = execute_frame(tgt, caller, f);
-    drain_ready(tgt);
-    tgt.gate.release_steal();
-    return rc;
+  /// Replies land in the wait block's inline buffer.
+  RegSet* reply_in_place(std::size_t) { return nullptr; }
+  void fill(XcallCell& cell, std::size_t i, XcallWait* w, const Call&) {
+    encode_frame(cell, caller, frames[i], w, nullptr);
   }
-
-  // Ring path: the whole request inlines in one cell. The reply lands in
-  // a stack RegSet (cache-hot for the spinner) and is copied into f.w.
-  RegSet reply;
-  XcallWait wait;
-  wait.regs = &reply;
-  XcallRing& ring = tgt.rings[caller_slot];
-  while (!ring.try_post_frame(caller, f, &wait)) {
-    me.counters.inc(obs::Counter::kXcallRingFull);
-    if (!help_drain(tgt, caller_slot)) std::this_thread::yield();
+  void finish(std::size_t i, const RegSet* reply, Status s) {
+    if (reply != nullptr) frames[i].w = reply->w;
+    frames[i].op = frame_with_rc(frames[i].op, s);
   }
-  ring_doorbell(me, tgt, caller_slot, bulk);
-  me.counters.inc(obs::Counter::kXcallPosts);
-  me.counters.inc(obs::Counter::kSharedLinesTouched, 2);
+};
 
-  const int yield_rounds = (tgt.ready_mask.load(std::memory_order_relaxed) &
-                            ~doorbell_bit(caller_slot)) != 0
-                               ? kWaitYieldRoundsContended
-                               : kWaitYieldRounds;
-  const Status rc = wait_complete(
-      wait, yield_rounds,
-      [this, &tgt, caller_slot] { help_drain(tgt, caller_slot); },
-      [&me] { me.counters.inc(obs::Counter::kWaiterParks); });
-  f.w = reply.w;
-  f.op = frame_with_rc(f.op, rc);
-  return rc;
+Status Runtime::service_status(EntryPointId id) const {
+  const Service* svc = lookup(id);
+  if (svc == nullptr) return Status::kNoSuchEntryPoint;
+  switch (svc->state.load(std::memory_order_acquire)) {
+    case SvcState::kActive: return Status::kOk;
+    case SvcState::kDraining: return Status::kEntryPointDraining;
+    default: return Status::kNoSuchEntryPoint;
+  }
 }
 
-Status Runtime::call_remote_frame_batch(SlotId caller_slot, SlotId target,
-                                        ProgramId caller,
-                                        std::span<CallFrame> batch) {
-  HPPC_ASSERT(caller_slot < slots_.size());
-  HPPC_ASSERT(target < slots_.size());
-  if (batch.empty()) return Status::kOk;
-  Status overall = Status::kOk;
-  const auto fold = [&overall](Status s) {
-    if (overall == Status::kOk && s != Status::kOk) overall = s;
-  };
-  if (target == caller_slot) {
-    for (CallFrame& f : batch) fold(call_frame(caller_slot, caller, f));
-    return overall;
+void Runtime::book_refused(Call& c, Status s, std::size_t n) {
+  const bool expired = s == Status::kDeadlineExceeded;
+  c.me.counters.inc(
+      expired ? obs::Counter::kDeadlineExceeded : obs::Counter::kCallsCancelled,
+      n);
+  HPPC_TRACE_EVENT(c.me.trace_ring, obs::host_trace_now(), c.src,
+                   expired ? obs::TraceEvent::kDeadlineExceeded
+                           : obs::TraceEvent::kCallCancelled,
+                   c.target);
+}
+
+void Runtime::open_span(Call& c, obs::SpanKind kind) {
+  // Minted lazily, on the first pass, so a single call's span names the
+  // path it took (ring or direct); it must exist before a cell is filled,
+  // since the cell carries it to the server slot.
+  if (!kTraced || c.span_open || kind == obs::SpanKind::kCount ||
+      !c.parent.traced()) {
+    return;
+  }
+  c.span_open = true;
+  c.span = begin_span(c.me, kind, c.parent.trace_id, c.parent.span_id);
+  if (c.span != 0) c.post_ctx.span_id = c.span;
+}
+
+void Runtime::record_rtt(Call& c, obs::Hist h, std::uint64_t dt) {
+  c.me.hists->record(h, dt);
+  if (c.bulk) c.me.hists->record(obs::Hist::kRttBulk, dt);
+}
+
+Status Runtime::admit(Call& c, const Lane& lane, std::size_t n) {
+  // Fold the per-call knobs into the ambient request the caller is already
+  // executing under: the relative deadline converts to an absolute budget
+  // exactly once (with_budget) and clamps against the inherited one —
+  // tighten, never extend — while the token and class default to the
+  // ambient values, so a context installed at the root rides every hop.
+  Slot& me = c.me;
+  const RequestCtx& ambient = me.cur_req;
+  c.req = ambient;
+  c.req.abs_deadline_cycles = c.opts.with_budget(ambient.abs_deadline_cycles);
+  if (c.opts.cancel_token != 0) c.req.cancel_token = c.opts.cancel_token;
+  if (c.opts.traffic_class == TrafficClass::kBulk) {
+    c.req.traffic_class = TrafficClass::kBulk;
+  }
+  c.bulk = c.req.traffic_class == TrafficClass::kBulk;
+  if (lane.ctx_in_cell && ambient.abs_deadline_cycles != 0 &&
+      c.req.abs_deadline_cycles == ambient.abs_deadline_cycles) {
+    me.counters.inc(obs::Counter::kDeadlineInherited);
   }
 
-  Slot& me = *slots_[caller_slot];
-  Slot& tgt = *slots_[target];
-  // Same admission-only request-context contract as call_remote_frame:
-  // frame cells cannot carry the budget in flight, so the guard is here.
-  const RequestCtx ambient = me.cur_req;
-  if (ambient.expired(host_cycles())) {
-    me.counters.inc(obs::Counter::kDeadlineExceeded);
-    for (CallFrame& f : batch) {
-      f.op = frame_with_rc(f.op, Status::kDeadlineExceeded);
-    }
-    return Status::kDeadlineExceeded;
+  // Screen: a call whose budget is already spent — or whose root was
+  // cancelled — never touches the target. Every refusal books one count
+  // per refused call.
+  const std::uint64_t deadline = c.req.abs_deadline_cycles;
+  Status s = Status::kOk;
+  if (deadline != 0 && host_cycles() >= deadline) {
+    s = Status::kDeadlineExceeded;
+  } else if (c.req.cancel_token != 0 && cancel_requested(c.req.cancel_token)) {
+    s = Status::kCallAborted;
   }
-  if (ambient.cancel_token != 0 && cancel_requested(ambient.cancel_token)) {
-    me.counters.inc(obs::Counter::kCallsCancelled, batch.size());
-    for (CallFrame& f : batch) {
-      f.op = frame_with_rc(f.op, Status::kCallAborted);
-    }
-    return Status::kCallAborted;
+  if (s != Status::kOk) {
+    book_refused(c, s, n);
+    return s;
   }
-  const bool bulk = ambient.traffic_class == TrafficClass::kBulk;
-  const std::uint32_t watermark = shed_watermark(ambient.traffic_class);
-  if (watermark != 0 && xcall_depth(target) >= watermark) {
-    me.counters.inc(obs::Counter::kCallsShed, batch.size());
-    if (bulk) me.counters.inc(obs::Counter::kCallsShedBulk, batch.size());
-    for (CallFrame& f : batch) {
-      f.op = frame_with_rc(f.op, Status::kOverloaded);
-    }
+  // Shed: refuse at the door while the target's queue is over the CLASS's
+  // watermark — a lower bulk watermark makes bulk traffic absorb the
+  // shedding while interactive calls keep being admitted.
+  const std::uint32_t watermark = shed_watermark(c.req.traffic_class);
+  if (watermark != 0 && xcall_depth(c.target) >= watermark) {
+    me.counters.inc(obs::Counter::kCallsShed, n);
+    if (c.bulk) me.counters.inc(obs::Counter::kCallsShedBulk, n);
+    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), c.src,
+                     obs::TraceEvent::kCallShed, c.target);
     return Status::kOverloaded;
   }
+  if (c.bulk) me.counters.inc(obs::Counter::kCallsBulk, n);
+  if (kTraced && lane.ctx_in_cell && me.cur_trace.traced()) {
+    c.parent = me.cur_trace;
+    c.post_ctx = c.parent;
+    ++c.post_ctx.hop;
+  }
+  return Status::kOk;
+}
 
-  std::size_t i = 0;
-  while (i < batch.size()) {
-    // One gate steal covers every frame still unsubmitted.
-    if (tgt.gate.try_steal()) {
-      me.counters.inc(obs::Counter::kSharedLinesTouched, 2);
-      tgt.counters.inc(obs::Counter::kXcallDirect, batch.size() - i);
-      for (; i < batch.size(); ++i) {
-        fold(execute_frame(tgt, caller, batch[i]));
+template <typename Enc>
+std::size_t Runtime::run_direct(Call& c, Enc& enc, std::size_t i) {
+  // The target is parked: run every still-unsubmitted call right here,
+  // against its pools (LRPC-style migration) — no context switch, no
+  // allocation, two shared RMWs (steal + release). The stolen slot runs
+  // under the caller's request and trace contexts, installed by hand (the
+  // same save/restore the drain does for ring cells), so nested calls the
+  // handlers make inherit the budget, the token and the span.
+  Slot& tgt = c.tgt;
+  const std::size_t n = enc.size();
+  c.me.counters.inc(obs::Counter::kSharedLinesTouched, 2);
+  tgt.counters.inc(obs::Counter::kXcallDirect, n - i);
+  const RequestCtx saved_req = tgt.cur_req;
+  const obs::TraceCtx saved_trace = tgt.cur_trace;
+  const bool traced = kTraced && c.post_ctx.traced();
+  if constexpr (Enc::kLane.ctx_in_cell) tgt.cur_req = c.req;
+  if (traced) tgt.cur_trace = c.post_ctx;
+  for (; i < n; ++i) {
+    const Status s = enc.run(*this, tgt, i);
+    if (c.overall == Status::kOk) c.overall = s;
+  }
+  if constexpr (Enc::kLane.ctx_in_cell) tgt.cur_req = saved_req;
+  if (traced) tgt.cur_trace = saved_trace;
+  // Help while we hold the slot: retire anything ring-queued behind us.
+  drain_ready(tgt);
+  tgt.gate.release_steal();
+  return i;
+}
+
+template <std::size_t K, typename Fill>
+std::size_t Runtime::post_cells(Call& c, RetryPolicy retry,
+                                std::size_t remaining, std::size_t want,
+                                Fill&& fill, Status& give_up) {
+  Slot& me = c.me;
+  // Fault seams: a delay before the publish (a producer preempted between
+  // claim intent and post — for batches, consumers then observe a claimed-
+  // but-unpublished run behind a published one), and a forced full ring so
+  // tests drive the overflow branch without 64 parked cells.
+  if (HPPC_FAULT_POINT(K > 1 ? "rt.xcall.batch.post" : "rt.xcall.post")) {
+    me.counters.inc(obs::Counter::kFaultsInjected);
+    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), c.src,
+                     obs::TraceEvent::kFaultInject, c.target);
+  }
+  bool force_full = HPPC_FAULT_POINT("rt.xcall.ring_full");
+  if (force_full) me.counters.inc(obs::Counter::kFaultsInjected);
+
+  // One claim/publish per attempt. A full ring means other callers are
+  // ahead of us; what happens next is the retry policy: kBlock helps or
+  // yields forever, kBackoff burns a doubling cpu_relax budget per round
+  // and gives up with kOverloaded after `backoff_rounds`, kFailFast gives
+  // up at once. A budget that expires — or a token cancelled — while the
+  // post cannot land gives up too: a call that cannot even be queued in
+  // time was still too late.
+  XcallRing& ring = c.tgt.rings[c.src];
+  const std::uint64_t deadline = c.req.abs_deadline_cycles;
+  for (std::uint32_t round = 0;; ++round) {
+    const std::size_t posted = force_full ? 0 : ring.post(want, fill);
+    if (posted != 0) {
+      ring_doorbell(me, c.tgt, c.src, c.bulk);
+      me.counters.inc(obs::Counter::kXcallPosts, posted);
+      if constexpr (K > 1) {
+        me.counters.inc(obs::Counter::kXcallBatchPosts);
+        me.counters.inc(obs::Counter::kXcallCellsPerBatch, posted);
       }
-      drain_ready(tgt);
-      tgt.gate.release_steal();
+      me.counters.inc(obs::Counter::kSharedLinesTouched, 2);
+      HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), c.src,
+                       K > 1 ? obs::TraceEvent::kXcallBatchPost
+                             : obs::TraceEvent::kXcallPost,
+                       K > 1 ? posted : c.target);
+      return posted;
+    }
+    force_full = false;
+    me.counters.inc(round == 0 ? obs::Counter::kXcallRingFull
+                               : obs::Counter::kRetries);
+    if (retry == RetryPolicy::kFailFast ||
+        (retry == RetryPolicy::kBackoff && round >= c.opts.backoff_rounds)) {
+      give_up = Status::kOverloaded;
+    } else if (deadline != 0 && host_cycles() >= deadline) {
+      give_up = Status::kDeadlineExceeded;
+    } else if (c.req.cancel_token != 0 &&
+               cancel_requested(c.req.cancel_token)) {
+      give_up = Status::kCallAborted;
+    }
+    if (give_up != Status::kOk) {
+      if (give_up != Status::kOverloaded) book_refused(c, give_up, remaining);
+      return 0;
+    }
+    if (retry == RetryPolicy::kBackoff) {
+      // Exponential backoff off the contended line, then one help attempt.
+      const std::uint32_t spins = 1u << (round < 10 ? round : 10);
+      for (std::uint32_t k = 0; k < spins; ++k) cpu_relax();
+      me.counters.inc(obs::Counter::kBackoffCycles, spins);
+    }
+    if (!help_drain(c.tgt, c.src)) std::this_thread::yield();
+  }
+}
+
+template <typename Enc>
+void Runtime::collect(Call& c, Enc& enc, std::size_t i, std::size_t posted,
+                      XcallWait* const* waits, std::uint64_t t0,
+                      std::uint64_t post_t) {
+  Slot& me = c.me;
+  const std::uint64_t deadline = c.req.abs_deadline_cycles;
+  const auto help = [this, &c] { help_drain(c.tgt, c.src); };
+  // Adaptive yield budget, judged once per post: other producers'
+  // doorbells pending at the target mean our cells sit behind a queue
+  // spanning several drain passes — park after one courtesy round instead
+  // of churning the scheduler. Alone, keep the long ladder (the server is
+  // at most one pass away and a park would only add a wakeup). The
+  // "rt.xcall.park.now" seam collapses the yield phase so tests can drive
+  // the park/kick protocol deterministically.
+  int yield_rounds = (c.tgt.ready_mask.load(std::memory_order_relaxed) &
+                      ~doorbell_bit(c.src)) != 0
+                         ? kWaitYieldRoundsContended
+                         : kWaitYieldRounds;
+  if (deadline == 0 && HPPC_FAULT_POINT("rt.xcall.park.now")) {
+    me.counters.inc(obs::Counter::kFaultsInjected);
+    yield_rounds = 0;
+  }
+  // The first waits dominate the wall time; later ones are usually
+  // complete by the time we look.
+  for (std::size_t k = 0; k < posted; ++k) {
+    XcallWait& w = *waits[k];
+    Status s;
+    if (deadline == 0) {
+      std::uint64_t park_t = 0;  // stamped at park, read after the kick
+      s = wait_complete(w, yield_rounds, help, [&] {
+        me.counters.inc(obs::Counter::kWaiterParks);
+        park_t = host_cycles();
+        HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), c.src,
+                         obs::TraceEvent::kWaiterPark, c.target);
+        // Delay seam inside the park decision (between the bookkeeping and
+        // the CAS): widens the park-vs-complete race for the chaos soak.
+        if (HPPC_FAULT_POINT("rt.xcall.park")) {
+          me.counters.inc(obs::Counter::kFaultsInjected);
+          HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), c.src,
+                           obs::TraceEvent::kFaultInject, c.target);
+        }
+      });
+      if (park_t != 0) {
+        me.hists->record(obs::Hist::kWakeup, host_cycles() - park_t);
+      }
+      enc.finish(i + k, &w.reply_target(), s);
+    } else {
+      bool timed_out = false;
+      s = wait_complete_deadline(
+          w, deadline, [] { return host_cycles(); }, help, &timed_out);
+      if (timed_out) {
+        // Abandoned: the block stays on the zombie list until the server's
+        // drain acks it (or completes it — either sets kDoneBit).
+        w.next = me.wait_zombies;
+        me.wait_zombies = &w;
+        book_refused(c, s, 1);
+        enc.finish(i + k, nullptr, s);
+      } else {
+        enc.finish(i + k, &w.reply, s);  // copy out of the pooled block
+        release_wait(me, &w);
+      }
+    }
+    if (c.overall == Status::kOk) c.overall = s;
+  }
+  if constexpr (Enc::kLane.rtt != obs::Hist::kCount) {
+    // Single calls also split out the ring wait (publish -> completion)
+    // and book deadline calls under their own RTT class.
+    constexpr bool kSingle = Enc::kChunk == 1;
+    const std::uint64_t done_t = host_cycles();
+    if (kSingle) me.hists->record(obs::Hist::kRingWait, done_t - post_t);
+    record_rtt(c, kSingle && deadline != 0 ? obs::Hist::kRttDeadlined
+                                           : Enc::kLane.rtt,
+               done_t - t0);
+  }
+}
+
+template <typename Enc>
+Status Runtime::submit(Call& c, Enc& enc) {
+  constexpr Lane kLane = Enc::kLane;
+  constexpr std::size_t K = Enc::kChunk;
+  const std::size_t n = enc.size();
+  std::size_t i = 0;
+  if (const Status s = admit(c, kLane, n); s != Status::kOk) {
+    for (; i < n; ++i) enc.finish(i, nullptr, s);
+    return s;
+  }
+  const bool pooled = c.req.abs_deadline_cycles != 0;
+  while (i < n) {
+    const std::uint64_t t0 =
+        kLane.rtt != obs::Hist::kCount ? host_cycles() : 0;
+    if (c.tgt.gate.try_steal()) {
+      open_span(c, kLane.direct_span);
+      i = run_direct(c, enc, i);
+      if constexpr (kLane.rtt != obs::Hist::kCount) {
+        record_rtt(c, kLane.rtt, host_cycles() - t0);
+      }
       break;
     }
-
-    // Chunk post: one CAS claims the run, one release store + one doorbell
-    // publish it. Completion blocks and reply buffers live on this frame —
-    // zero heap allocations regardless of batch size.
-    std::array<XcallWait, XcallRing::kCapacity> waits;
-    std::array<XcallWait*, XcallRing::kCapacity> wait_ptrs;
-    std::array<RegSet, XcallRing::kCapacity> replies;
-    const std::size_t want = std::min(batch.size() - i, wait_ptrs.size());
+    // Ring path: claim a chunk with one CAS, publish it with one release
+    // store, ring one doorbell, then collect.
+    open_span(c, kLane.span);
+    // No-deadline completion blocks live on this frame — sized to the
+    // lane's chunk, so a single call carries one — and are cache-hot for
+    // the spinner. Deadline calls ride slot-pooled blocks: a caller that
+    // abandons leaves its in-flight cell pointing at storage the Runtime
+    // owns. Zero heap allocations either way.
+    const std::size_t want = std::min(n - i, K);
+    std::array<XcallWait, K> stack_waits;
+    std::array<XcallWait*, K> waits;
     for (std::size_t k = 0; k < want; ++k) {
-      waits[k].regs = &replies[k];
-      wait_ptrs[k] = &waits[k];
+      if (pooled) {
+        waits[k] = acquire_wait(c.me);
+      } else {
+        stack_waits[k].regs = enc.reply_in_place(i + k);
+        waits[k] = &stack_waits[k];
+      }
     }
-    XcallRing& ring = tgt.rings[caller_slot];
-    const std::size_t posted =
-        ring.try_post_frames(caller, &batch[i], wait_ptrs.data(), want);
+    Status give_up = Status::kOk;
+    const std::size_t posted = post_cells<K>(
+        c, c.opts.retry, n - i, want,
+        [&](XcallCell& cell, std::size_t k) {
+          enc.fill(cell, i + k, waits[k], c);
+        },
+        give_up);
+    // Unpublished pooled blocks were never shared: straight back.
+    for (std::size_t k = posted; pooled && k < want; ++k) {
+      release_wait(c.me, waits[k]);
+    }
     if (posted == 0) {
-      me.counters.inc(obs::Counter::kXcallRingFull);
-      if (!help_drain(tgt, caller_slot)) std::this_thread::yield();
-      continue;
+      for (; i < n; ++i) enc.finish(i, nullptr, give_up);
+      if (c.overall == Status::kOk) c.overall = give_up;
+      break;
     }
-    ring_doorbell(me, tgt, caller_slot, bulk);
-    me.counters.inc(obs::Counter::kXcallPosts, posted);
-    me.counters.inc(obs::Counter::kXcallBatchPosts);
-    me.counters.inc(obs::Counter::kXcallCellsPerBatch, posted);
-    me.counters.inc(obs::Counter::kSharedLinesTouched, 2);
-
-    const int yield_rounds =
-        (tgt.ready_mask.load(std::memory_order_relaxed) &
-         ~doorbell_bit(caller_slot)) != 0
-            ? kWaitYieldRoundsContended
-            : kWaitYieldRounds;
-    for (std::size_t k = 0; k < posted; ++k) {
-      const Status s = wait_complete(
-          waits[k], yield_rounds,
-          [this, &tgt, caller_slot] { help_drain(tgt, caller_slot); },
-          [&me] { me.counters.inc(obs::Counter::kWaiterParks); });
-      fold(s);
-      batch[i + k].w = replies[k].w;
-      batch[i + k].op = frame_with_rc(batch[i + k].op, s);
-    }
+    const std::uint64_t post_t =
+        kLane.rtt != obs::Hist::kCount ? host_cycles() : 0;
+    collect(c, enc, i, posted, waits.data(), t0, post_t);
     i += posted;
   }
-  return overall;
+  if (c.span_open) {
+    end_span(c.me, c.parent.trace_id, c.span, c.parent.span_id, c.overall);
+  }
+  return c.overall;
+}
+
+template <std::size_t K>
+Status Runtime::call_typed(SlotId src, SlotId target, ProgramId caller,
+                           EntryPointId id, std::span<RegSet> regs,
+                           const CallOptions& opts) {
+  HPPC_ASSERT(src < slots_.size());
+  HPPC_ASSERT(target < slots_.size());
+  Status overall = Status::kOk;
+  if (target == src) {
+    for (RegSet& r : regs) {
+      const Status s = call(src, caller, id, r);
+      if (overall == Status::kOk) overall = s;
+    }
+    return overall;
+  }
+  // Fail fast before touching the target: same screening as call().
+  if (const Status s = service_status(id); s != Status::kOk) {
+    for (RegSet& r : regs) set_rc(r, s);
+    return s;
+  }
+  Call c{*slots_[src], *slots_[target], src, target, opts};
+  TypedCalls<K> enc{caller, id, regs};
+  return submit(c, enc);
+}
+
+template <std::size_t K>
+Status Runtime::call_frames(SlotId src, SlotId target, ProgramId caller,
+                            std::span<CallFrame> frames) {
+  HPPC_ASSERT(src < slots_.size());
+  HPPC_ASSERT(target < slots_.size());
+  Status overall = Status::kOk;
+  if (target == src) {
+    for (CallFrame& f : frames) {
+      const Status s = call_frame(src, caller, f);
+      if (overall == Status::kOk) overall = s;
+    }
+    return overall;
+  }
+  if constexpr (K == 1) {
+    // Screen before touching the target: an unbound service fails here,
+    // not after a cell is in flight. (Frames in one batch may target
+    // different services; each batched frame reports its own rc.)
+    const FrameServiceId id = frame_service_of(frames[0].op);
+    if (id >= kMaxFrameServices ||
+        frame_services_[id].fn.load(std::memory_order_acquire) == nullptr) {
+      frames[0].op = frame_with_rc(frames[0].op, Status::kNoSuchEntryPoint);
+      return Status::kNoSuchEntryPoint;
+    }
+  }
+  const CallOptions opts{};  // frames take the ambient context only
+  Call c{*slots_[src], *slots_[target], src, target, opts};
+  FrameCalls<K> enc{caller, frames};
+  return submit(c, enc);
 }
 
 Status Runtime::call_remote(SlotId caller_slot, SlotId target,
@@ -1169,331 +1392,34 @@ Status Runtime::call_remote(SlotId caller_slot, SlotId target,
 Status Runtime::call_remote(SlotId caller_slot, SlotId target,
                             ProgramId caller, EntryPointId id, RegSet& regs,
                             const CallOptions& opts) {
-  HPPC_ASSERT(caller_slot < slots_.size());
-  HPPC_ASSERT(target < slots_.size());
-  if (target == caller_slot) return call(caller_slot, caller, id, regs);
+  return call_typed<1>(caller_slot, target, caller, id, {&regs, 1}, opts);
+}
 
-  // Fail fast before touching the target: same screening as call().
-  Service* svc = lookup(id);
-  if (svc == nullptr) {
-    set_rc(regs, Status::kNoSuchEntryPoint);
-    return Status::kNoSuchEntryPoint;
-  }
-  const SvcState st = svc->state.load(std::memory_order_acquire);
-  if (st != SvcState::kActive) {
-    const Status s = st == SvcState::kDraining ? Status::kEntryPointDraining
-                                               : Status::kNoSuchEntryPoint;
-    set_rc(regs, s);
-    return s;
-  }
+Status Runtime::call_remote_batch(SlotId caller_slot, SlotId target,
+                                  ProgramId caller, EntryPointId id,
+                                  std::span<RegSet> batch) {
+  return call_remote_batch(caller_slot, target, caller, id, batch,
+                           CallOptions{});
+}
 
-  Slot& me = *slots_[caller_slot];
-  Slot& tgt = *slots_[target];
+Status Runtime::call_remote_batch(SlotId caller_slot, SlotId target,
+                                  ProgramId caller, EntryPointId id,
+                                  std::span<RegSet> batch,
+                                  const CallOptions& opts) {
+  return call_typed<XcallRing::kCapacity>(caller_slot, target, caller, id,
+                                          batch, opts);
+}
 
-  // Fold the per-call knobs into the ambient request the caller is already
-  // executing under: the relative deadline converts to an absolute budget
-  // exactly once (with_budget) and clamps against the inherited one —
-  // tighten, never extend — while the token and class default to the
-  // ambient values so a context installed at the root rides every hop.
-  const RequestCtx ambient = me.cur_req;
-  const std::uint64_t deadline = opts.with_budget(ambient.abs_deadline_cycles);
-  const bool deadlined = deadline != 0;
-  const CancelToken token =
-      opts.cancel_token != 0 ? opts.cancel_token : ambient.cancel_token;
-  const bool bulk = opts.traffic_class == TrafficClass::kBulk ||
-                    ambient.traffic_class == TrafficClass::kBulk;
-  if (ambient.abs_deadline_cycles != 0 &&
-      deadline == ambient.abs_deadline_cycles) {
-    me.counters.inc(obs::Counter::kDeadlineInherited);
-  }
+Status Runtime::call_remote_frame(SlotId caller_slot, SlotId target,
+                                  ProgramId caller, CallFrame& f) {
+  return call_frames<1>(caller_slot, target, caller, {&f, 1});
+}
 
-  // Pre-admission screen: a call whose budget is already spent — or whose
-  // root was cancelled — never touches the target at all.
-  if (deadlined && host_cycles() >= deadline) {
-    me.counters.inc(obs::Counter::kDeadlineExceeded);
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kDeadlineExceeded, target);
-    set_rc(regs, Status::kDeadlineExceeded);
-    return Status::kDeadlineExceeded;
-  }
-  if (token != 0 && cancel_requested(token)) {
-    me.counters.inc(obs::Counter::kCallsCancelled);
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kCallCancelled, target);
-    set_rc(regs, Status::kCallAborted);
-    return Status::kCallAborted;
-  }
-
-  // Admission control: refuse at the door while the target's queue is over
-  // the CLASS's watermark — a lower bulk watermark makes bulk traffic
-  // absorb the shedding while interactive calls keep being admitted.
-  const std::uint32_t watermark = shed_watermark(
-      bulk ? TrafficClass::kBulk : TrafficClass::kInteractive);
-  if (watermark != 0 && xcall_depth(target) >= watermark) {
-    me.counters.inc(obs::Counter::kCallsShed);
-    if (bulk) me.counters.inc(obs::Counter::kCallsShedBulk);
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kCallShed, target);
-    set_rc(regs, Status::kOverloaded);
-    return Status::kOverloaded;
-  }
-  if (bulk) me.counters.inc(obs::Counter::kCallsBulk);
-
-  const std::uint64_t rtt_t0 = host_cycles();
-
-  // Adaptive fast path: the target is parked — take the gate and run the
-  // call right here, against the target's pools (LRPC-style migration).
-  // No context switch, no allocation; two shared RMWs (steal + release).
-  if (tgt.gate.try_steal()) {
-    me.counters.inc(obs::Counter::kSharedLinesTouched, 2);
-    tgt.counters.inc(obs::Counter::kXcallDirect);
-#if defined(HPPC_TRACE) && HPPC_TRACE
-    // Direct execution crosses slots without crossing the ring: the span
-    // lives on the caller's ring, and the stolen slot executes under the
-    // caller's context (hop bumped) so nested spans parent correctly.
-    const obs::TraceCtx parent = me.cur_trace;
-    const obs::TraceCtx saved_tgt = tgt.cur_trace;
-    std::uint32_t span = 0;
-    if (parent.traced()) {
-      span = begin_span(me, obs::SpanKind::kRemoteDirect, parent.trace_id,
-                        parent.span_id);
-      tgt.cur_trace = parent;
-      if (span != 0) tgt.cur_trace.span_id = span;
-      ++tgt.cur_trace.hop;
-    }
-#endif
-    // Direct execution crosses slots without crossing the ring, so the
-    // request context is installed on the stolen slot by hand (the same
-    // save/restore the drain does for ring cells) — nested calls the
-    // handler makes still inherit the effective budget and token.
-    const RequestCtx saved_req = tgt.cur_req;
-    RequestCtx eff = ambient;
-    eff.abs_deadline_cycles = deadline;
-    eff.cancel_token = token;
-    eff.traffic_class =
-        bulk ? TrafficClass::kBulk : TrafficClass::kInteractive;
-    tgt.cur_req = eff;
-    const Status rc = execute_remote(tgt, caller, id, regs);
-    tgt.cur_req = saved_req;
-    // Help while we hold the slot: retire anything ring-queued behind us.
-    drain_ready(tgt);
-#if defined(HPPC_TRACE) && HPPC_TRACE
-    if (parent.traced()) {
-      tgt.cur_trace = saved_tgt;
-      end_span(me, parent.trace_id, span, parent.span_id, rc);
-    }
-#endif
-    tgt.gate.release_steal();
-    me.hists->record(obs::Hist::kRttRemote, host_cycles() - rtt_t0);
-    if (bulk) me.hists->record(obs::Hist::kRttBulk, host_cycles() - rtt_t0);
-    return rc;
-  }
-
-  // Delay seam before the publish (models a caller preempted between claim
-  // and post); the ring-full seam forces the first post attempt to fail so
-  // tests can drive the overflow branch without 64 parked cells.
-  if (HPPC_FAULT_POINT("rt.xcall.post")) {
-    me.counters.inc(obs::Counter::kFaultsInjected);
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kFaultInject, target);
-  }
-  bool force_full = false;
-  if (HPPC_FAULT_POINT("rt.xcall.ring_full")) {
-    me.counters.inc(obs::Counter::kFaultsInjected);
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kFaultInject, target);
-    force_full = true;
-  }
-
-#if defined(HPPC_TRACE) && HPPC_TRACE
-  // Ring path: mint the caller-side span now (it must ride in the cell) —
-  // every return below, success or give-up, closes it.
-  const obs::TraceCtx parent = me.cur_trace;
-  obs::TraceCtx post_ctx{};
-  std::uint32_t span = 0;
-  if (parent.traced()) {
-    span = begin_span(me, obs::SpanKind::kRemoteCall, parent.trace_id,
-                      parent.span_id);
-    post_ctx = parent;
-    if (span != 0) post_ctx.span_id = span;
-    ++post_ctx.hop;
-  }
-  const obs::TraceCtx* post_ctx_ptr = &post_ctx;
-#else
-  const obs::TraceCtx* post_ctx_ptr = nullptr;
-#endif
-
-  // Deadline calls wait on a slot-pooled block (inline reply buffer): if
-  // the caller abandons, the server still holds a pointer into storage the
-  // Runtime owns. The no-deadline path keeps the legacy stack block —
-  // cache-hot for the spinner, zero pool traffic.
-  XcallWait stack_wait;
-  XcallWait* wait = &stack_wait;
-  if (deadlined) {
-    wait = acquire_wait(me);
-  } else {
-    stack_wait.regs = &regs;
-  }
-
-  // Ring path: publish a cell (one CAS + one release store), then
-  // spin-then-yield on the completion word. A full ring means other
-  // waiters are ahead of us; what happens next is the retry policy:
-  // kBlock helps/yields forever (legacy), kBackoff burns a doubling
-  // cpu_relax budget per round and gives up with kOverloaded, kFailFast
-  // gives up immediately. The deadline is also checked here — a call that
-  // cannot even be queued before it expires was still too late.
-  bool booked_full = false;
-  std::uint32_t round = 0;
-  // The request payload is copied into the cell at post time, so passing
-  // the caller's regs is safe even for deadline calls — after an abandon
-  // the server only ever reads the cell's inline copy. The deadline rides
-  // in the cell too, so a drain that reaches it late refuses to execute.
-  // The cancel token and traffic class ride the spare high bits of the ep
-  // word (the cell has no free bytes); the drain unpacks them.
-  const std::uint32_t wire_ep = cell_pack_ep(id, token, bulk);
-  XcallRing& ring = tgt.rings[caller_slot];
-  while (force_full ||
-         !ring.try_post(caller, wire_ep, regs, wait, deadline, post_ctx_ptr)) {
-    force_full = false;
-    if (!booked_full) {
-      booked_full = true;
-      me.counters.inc(obs::Counter::kXcallRingFull);
-    } else {
-      me.counters.inc(obs::Counter::kRetries);
-    }
-    Status give_up = Status::kOk;
-    if (opts.retry == RetryPolicy::kFailFast) {
-      give_up = Status::kOverloaded;
-    } else if (opts.retry == RetryPolicy::kBackoff &&
-               round >= opts.backoff_rounds) {
-      give_up = Status::kOverloaded;
-    } else if (deadlined && host_cycles() >= deadline) {
-      give_up = Status::kDeadlineExceeded;
-    } else if (token != 0 && cancel_requested(token)) {
-      give_up = Status::kCallAborted;
-    }
-    if (give_up != Status::kOk) {
-      // The cell was never published, so the wait block was never shared:
-      // a pooled block goes straight back to the free list.
-      if (deadlined) release_wait(me, wait);
-      if (give_up == Status::kDeadlineExceeded) {
-        me.counters.inc(obs::Counter::kDeadlineExceeded);
-        HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                         obs::TraceEvent::kDeadlineExceeded, target);
-      } else if (give_up == Status::kCallAborted) {
-        me.counters.inc(obs::Counter::kCallsCancelled);
-        HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                         obs::TraceEvent::kCallCancelled, target);
-      }
-#if defined(HPPC_TRACE) && HPPC_TRACE
-      if (parent.traced()) {
-        end_span(me, parent.trace_id, span, parent.span_id, give_up);
-      }
-#endif
-      set_rc(regs, give_up);
-      return give_up;
-    }
-    if (opts.retry == RetryPolicy::kBackoff) {
-      // Exponential backoff off the contended line, then one help attempt.
-      const std::uint32_t spins = 1u << (round < 10 ? round : 10);
-      for (std::uint32_t i = 0; i < spins; ++i) cpu_relax();
-      me.counters.inc(obs::Counter::kBackoffCycles, spins);
-      ++round;
-      if (!help_drain(tgt, caller_slot)) std::this_thread::yield();
-    } else {
-      ++round;
-      if (!help_drain(tgt, caller_slot)) std::this_thread::yield();
-    }
-  }
-  ring_doorbell(me, tgt, caller_slot, bulk);
-  me.counters.inc(obs::Counter::kXcallPosts);
-  me.counters.inc(obs::Counter::kSharedLinesTouched, 2);
-  HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                   obs::TraceEvent::kXcallPost, target);
-  const std::uint64_t post_t = host_cycles();  // publish -> completion
-
-  if (!deadlined) {
-    // Spin→yield→park ladder. The park failpoints: "rt.xcall.park.now"
-    // collapses the yield phase so tests can drive the park/kick protocol
-    // deterministically; "rt.xcall.park" is a delay seam inside the park
-    // decision itself (fires between the park bookkeeping and the CAS,
-    // widening the park-vs-complete race window for the chaos soak).
-    // Adaptive yield budget: other producers' doorbells pending at the
-    // target mean our cell sits behind a queue spanning multiple drain
-    // passes — park after one courtesy round instead of churning the
-    // scheduler for the whole ladder. Alone, keep the long ladder (the
-    // server is at most one pass away and a park would only add a wakeup).
-    int yield_rounds = (tgt.ready_mask.load(std::memory_order_relaxed) &
-                        ~doorbell_bit(caller_slot)) != 0
-                           ? kWaitYieldRoundsContended
-                           : kWaitYieldRounds;
-    if (HPPC_FAULT_POINT("rt.xcall.park.now")) {
-      me.counters.inc(obs::Counter::kFaultsInjected);
-      yield_rounds = 0;
-    }
-    std::uint64_t park_t = 0;  // stamped at park, read after the kick
-    const Status rc = wait_complete(
-        stack_wait, yield_rounds,
-        [this, &tgt, caller_slot] { help_drain(tgt, caller_slot); },
-        [this, &me, &park_t, caller_slot, target] {
-          me.counters.inc(obs::Counter::kWaiterParks);
-          park_t = host_cycles();
-          HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                           obs::TraceEvent::kWaiterPark, target);
-          if (HPPC_FAULT_POINT("rt.xcall.park")) {
-            me.counters.inc(obs::Counter::kFaultsInjected);
-            HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(),
-                             caller_slot, obs::TraceEvent::kFaultInject,
-                             target);
-          }
-        });
-    const std::uint64_t done_t = host_cycles();
-    me.hists->record(obs::Hist::kRingWait, done_t - post_t);
-    if (park_t != 0) me.hists->record(obs::Hist::kWakeup, done_t - park_t);
-    me.hists->record(obs::Hist::kRttRemote, done_t - rtt_t0);
-    if (bulk) me.hists->record(obs::Hist::kRttBulk, done_t - rtt_t0);
-#if defined(HPPC_TRACE) && HPPC_TRACE
-    if (parent.traced()) {
-      end_span(me, parent.trace_id, span, parent.span_id, rc);
-    }
-#endif
-    return rc;
-  }
-
-  bool timed_out = false;
-  const Status rc = wait_complete_deadline(
-      *wait, deadline, [] { return host_cycles(); },
-      [this, &tgt, caller_slot] { help_drain(tgt, caller_slot); },
-      &timed_out);
-  const std::uint64_t done_t = host_cycles();
-  me.hists->record(obs::Hist::kRingWait, done_t - post_t);
-  me.hists->record(obs::Hist::kRttDeadlined, done_t - rtt_t0);
-  if (bulk) me.hists->record(obs::Hist::kRttBulk, done_t - rtt_t0);
-  if (timed_out) {
-    // Abandoned: the block stays on the zombie list until the server's
-    // drain acks it (or completes it — either sets kDoneBit).
-    wait->next = me.wait_zombies;
-    me.wait_zombies = wait;
-    me.counters.inc(obs::Counter::kDeadlineExceeded);
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kDeadlineExceeded, target);
-#if defined(HPPC_TRACE) && HPPC_TRACE
-    if (parent.traced()) {
-      end_span(me, parent.trace_id, span, parent.span_id,
-               Status::kDeadlineExceeded);
-    }
-#endif
-    set_rc(regs, Status::kDeadlineExceeded);
-    return Status::kDeadlineExceeded;
-  }
-  regs = wait->reply;  // copy the reply out of the pooled block
-  release_wait(me, wait);
-#if defined(HPPC_TRACE) && HPPC_TRACE
-  if (parent.traced()) {
-    end_span(me, parent.trace_id, span, parent.span_id, rc);
-  }
-#endif
-  return rc;
+Status Runtime::call_remote_frame_batch(SlotId caller_slot, SlotId target,
+                                        ProgramId caller,
+                                        std::span<CallFrame> batch) {
+  return call_frames<XcallRing::kCapacity>(caller_slot, target, caller,
+                                           batch);
 }
 
 Status Runtime::call_remote_async(SlotId caller_slot, SlotId target,
@@ -1508,379 +1434,53 @@ Status Runtime::call_remote_async(SlotId caller_slot, SlotId target,
                                   RegSet regs, const CallOptions& opts) {
   HPPC_ASSERT(caller_slot < slots_.size());
   HPPC_ASSERT(target < slots_.size());
-  Service* svc = lookup(id);
-  if (svc == nullptr) return Status::kNoSuchEntryPoint;
-  if (svc->state.load(std::memory_order_acquire) != SvcState::kActive) {
-    return Status::kEntryPointDraining;
-  }
+  if (const Status s = service_status(id); s != Status::kOk) return s;
   if (target == caller_slot) {
     return call_async(caller_slot, caller, id, regs);
   }
-  Slot& me = *slots_[caller_slot];
-  Slot& tgt = *slots_[target];
-  // Fold the ambient request context: a fire-and-forget call is still part
-  // of the root request, so it carries the clamped inherited budget, the
-  // cancel token, and the traffic class. With no waiter to rescue the
-  // call, expiry is enforced by the DRAIN — a cell reached late is dropped
-  // (deadline_exceeded on the target) rather than executed late.
-  const RequestCtx ambient = me.cur_req;
-  const std::uint64_t deadline = opts.with_budget(ambient.abs_deadline_cycles);
-  const CancelToken token =
-      opts.cancel_token != 0 ? opts.cancel_token : ambient.cancel_token;
-  const bool bulk = opts.traffic_class == TrafficClass::kBulk ||
-                    ambient.traffic_class == TrafficClass::kBulk;
-  if (ambient.abs_deadline_cycles != 0 &&
-      deadline == ambient.abs_deadline_cycles) {
-    me.counters.inc(obs::Counter::kDeadlineInherited);
-  }
-  if (deadline != 0 && host_cycles() >= deadline) {
-    me.counters.inc(obs::Counter::kDeadlineExceeded);
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kDeadlineExceeded, target);
-    return Status::kDeadlineExceeded;
-  }
-  if (token != 0 && cancel_requested(token)) {
-    me.counters.inc(obs::Counter::kCallsCancelled);
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kCallCancelled, target);
-    return Status::kCallAborted;
-  }
-  // Same admission check as the sync path: a fire-and-forget call adds to
-  // the very queue the watermark protects, so it is shed the same way —
-  // per class, bulk first.
-  const std::uint32_t watermark = shed_watermark(
-      bulk ? TrafficClass::kBulk : TrafficClass::kInteractive);
-  if (watermark != 0 && xcall_depth(target) >= watermark) {
-    me.counters.inc(obs::Counter::kCallsShed);
-    if (bulk) me.counters.inc(obs::Counter::kCallsShedBulk);
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kCallShed, target);
-    return Status::kOverloaded;
-  }
-  if (bulk) me.counters.inc(obs::Counter::kCallsBulk);
-#if defined(HPPC_TRACE) && HPPC_TRACE
-  // Fire-and-forget: no caller-side span (nothing to close), but the
-  // context still rides the cell so the server-side execution parents to
-  // the caller's current span.
-  obs::TraceCtx post_ctx = me.cur_trace;
-  if (post_ctx.traced()) ++post_ctx.hop;
-  const obs::TraceCtx* post_ctx_ptr = &post_ctx;
-#else
-  const obs::TraceCtx* post_ctx_ptr = nullptr;
-#endif
-  if (tgt.rings[caller_slot].try_post(caller, cell_pack_ep(id, token, bulk),
-                                      regs, /*wait=*/nullptr, deadline,
-                                      post_ctx_ptr)) {
-    ring_doorbell(me, tgt, caller_slot, bulk);
-    me.counters.inc(obs::Counter::kXcallPosts);
-    me.counters.inc(obs::Counter::kSharedLinesTouched, 2);
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kXcallPost, target);
-    return Status::kOk;
-  }
-  me.counters.inc(obs::Counter::kXcallRingFull);
-  if (opts.retry == RetryPolicy::kFailFast) return Status::kOverloaded;
-  // Overflow: a fire-and-forget caller cannot wait for space, so this rare
-  // case rides the legacy allocating mailbox (and is booked as such). The
-  // deadline still holds — the drain lambda re-checks it before executing.
-  post(target,
-       [this, target, caller, id, regs, deadline, token, bulk]() mutable {
-         Slot& slot = *slots_[target];
-         if (deadline != 0 && host_cycles() >= deadline) {
-           slot.counters.inc(obs::Counter::kDeadlineExceeded);
-           HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(),
-                            slot.self_id, obs::TraceEvent::kDeadlineExceeded,
-                            id);
-           return;
-         }
-         if (token != 0 && cancel_requested(token)) {
-           slot.counters.inc(obs::Counter::kCallsCancelled);
-           HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(),
-                            slot.self_id, obs::TraceEvent::kCallCancelled,
-                            id);
-           return;
-         }
-         const RequestCtx saved_req = slot.cur_req;
-         RequestCtx req;
-         req.abs_deadline_cycles = deadline;
-         req.cancel_token = token;
-         req.traffic_class =
-             bulk ? TrafficClass::kBulk : TrafficClass::kInteractive;
-         slot.cur_req = req;
-         execute_remote(slot, caller, id, regs);
-         slot.cur_req = saved_req;
-       });
-  return Status::kOk;
-}
-
-Status Runtime::call_remote_batch(SlotId caller_slot, SlotId target,
-                                  ProgramId caller, EntryPointId id,
-                                  std::span<RegSet> batch) {
-  return call_remote_batch(caller_slot, target, caller, id, batch,
-                           CallOptions{});
-}
-
-Status Runtime::call_remote_batch(SlotId caller_slot, SlotId target,
-                                  ProgramId caller, EntryPointId id,
-                                  std::span<RegSet> batch,
-                                  const CallOptions& opts) {
-  HPPC_ASSERT(caller_slot < slots_.size());
-  HPPC_ASSERT(target < slots_.size());
-  if (batch.empty()) return Status::kOk;
-  Status overall = Status::kOk;
-  const auto fold = [&overall](Status s) {
-    if (overall == Status::kOk && s != Status::kOk) overall = s;
-  };
-  if (target == caller_slot) {
-    for (RegSet& regs : batch) fold(call(caller_slot, caller, id, regs));
-    return overall;
-  }
-
-  // Screen once for the whole batch, same as call_remote.
-  Service* svc = lookup(id);
-  if (svc == nullptr) {
-    for (RegSet& regs : batch) set_rc(regs, Status::kNoSuchEntryPoint);
-    return Status::kNoSuchEntryPoint;
-  }
-  const SvcState st = svc->state.load(std::memory_order_acquire);
-  if (st != SvcState::kActive) {
-    const Status s = st == SvcState::kDraining ? Status::kEntryPointDraining
-                                               : Status::kNoSuchEntryPoint;
-    for (RegSet& regs : batch) set_rc(regs, s);
+  // A fire-and-forget call is still part of the root request: it carries
+  // the clamped budget, the token and the class in its cell. With no
+  // waiter to rescue it, expiry is enforced by the DRAIN — a cell reached
+  // late is dropped (deadline_exceeded on the target), not executed late.
+  Call c{*slots_[caller_slot], *slots_[target], caller_slot, target, opts};
+  if (const Status s = admit(c, TypedCalls<1>::kLane, 1); s != Status::kOk) {
     return s;
   }
-
-  Slot& me = *slots_[caller_slot];
-  Slot& tgt = *slots_[target];
-  // Fold the ambient request context once for the whole batch (same rules
-  // as call_remote: clamp the budget, opts override the token, bulk is
-  // sticky from either side).
-  const RequestCtx ambient = me.cur_req;
-  const std::uint64_t deadline = opts.with_budget(ambient.abs_deadline_cycles);
-  const bool deadlined = deadline != 0;
-  const CancelToken token =
-      opts.cancel_token != 0 ? opts.cancel_token : ambient.cancel_token;
-  const bool bulk = opts.traffic_class == TrafficClass::kBulk ||
-                    ambient.traffic_class == TrafficClass::kBulk;
-  if (ambient.abs_deadline_cycles != 0 &&
-      deadline == ambient.abs_deadline_cycles) {
-    me.counters.inc(obs::Counter::kDeadlineInherited);
+  // One post attempt: nobody waits for space to open up.
+  Status full = Status::kOk;
+  if (post_cells<1>(
+          c, RetryPolicy::kFailFast, 1, 1,
+          [&](XcallCell& cell, std::size_t) {
+            encode_call(cell, caller,
+                        cell_pack_ep(id, c.req.cancel_token, c.bulk), regs,
+                        /*wait=*/nullptr, c.req.abs_deadline_cycles,
+                        &c.post_ctx);
+          },
+          full) != 0) {
+    return Status::kOk;
   }
-  if (deadlined && host_cycles() >= deadline) {
-    me.counters.inc(obs::Counter::kDeadlineExceeded);
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kDeadlineExceeded, target);
-    for (RegSet& regs : batch) set_rc(regs, Status::kDeadlineExceeded);
-    return Status::kDeadlineExceeded;
-  }
-  if (token != 0 && cancel_requested(token)) {
-    me.counters.inc(obs::Counter::kCallsCancelled, batch.size());
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kCallCancelled, target);
-    for (RegSet& regs : batch) set_rc(regs, Status::kCallAborted);
-    return Status::kCallAborted;
-  }
-
-  const std::uint32_t watermark = shed_watermark(
-      bulk ? TrafficClass::kBulk : TrafficClass::kInteractive);
-  if (watermark != 0 && xcall_depth(target) >= watermark) {
-    me.counters.inc(obs::Counter::kCallsShed, batch.size());
-    if (bulk) me.counters.inc(obs::Counter::kCallsShedBulk, batch.size());
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kCallShed, target);
-    for (RegSet& regs : batch) set_rc(regs, Status::kOverloaded);
-    return Status::kOverloaded;
-  }
-  if (bulk) me.counters.inc(obs::Counter::kCallsBulk, batch.size());
-
-  const std::uint32_t wire_ep = cell_pack_ep(id, token, bulk);
-  XcallRing& ring = tgt.rings[caller_slot];
-
-#if defined(HPPC_TRACE) && HPPC_TRACE
-  // One span covers the whole batch; it rides in every chunk's cells, so
-  // each server-side kServerExec span parents to it — the exported trace
-  // shows one batch slice on the caller fanning into N executions on the
-  // server slot.
-  const obs::TraceCtx parent = me.cur_trace;
-  obs::TraceCtx post_ctx{};
-  std::uint32_t span = 0;
-  if (parent.traced()) {
-    span = begin_span(me, obs::SpanKind::kBatch, parent.trace_id,
-                      parent.span_id);
-    post_ctx = parent;
-    if (span != 0) post_ctx.span_id = span;
-    ++post_ctx.hop;
-  }
-  const obs::TraceCtx* post_ctx_ptr = &post_ctx;
-#else
-  const obs::TraceCtx* post_ctx_ptr = nullptr;
-#endif
-
-  std::size_t i = 0;
-  while (i < batch.size()) {
-    // Direct path: one gate steal covers every call still unsubmitted —
-    // the batched analogue of the LRPC migration fast path.
-    if (tgt.gate.try_steal()) {
-      me.counters.inc(obs::Counter::kSharedLinesTouched, 2);
-      tgt.counters.inc(obs::Counter::kXcallDirect, batch.size() - i);
-#if defined(HPPC_TRACE) && HPPC_TRACE
-      const obs::TraceCtx saved_tgt = tgt.cur_trace;
-      if (parent.traced()) tgt.cur_trace = post_ctx;
-#endif
-      // Install the effective request context on the stolen slot so the
-      // handlers' own nested calls inherit it (mirrors call_remote's
-      // direct path).
-      const RequestCtx saved_req = tgt.cur_req;
-      RequestCtx eff = ambient;
-      eff.abs_deadline_cycles = deadline;
-      eff.cancel_token = token;
-      eff.traffic_class =
-          bulk ? TrafficClass::kBulk : TrafficClass::kInteractive;
-      tgt.cur_req = eff;
-      for (; i < batch.size(); ++i) {
-        fold(execute_remote(tgt, caller, id, batch[i]));
-      }
-      tgt.cur_req = saved_req;
-      drain_ready(tgt);
-#if defined(HPPC_TRACE) && HPPC_TRACE
-      if (parent.traced()) tgt.cur_trace = saved_tgt;
-#endif
-      tgt.gate.release_steal();
-      break;
+  if (opts.retry == RetryPolicy::kFailFast) return Status::kOverloaded;
+  // Overflow: this rare case rides the legacy allocating mailbox (and is
+  // booked as such). The context still holds — the drain lambda re-checks
+  // it before executing, exactly like a drained cell.
+  post(target, [this, target, caller, id, regs, req = c.req]() mutable {
+    Slot& slot = *slots_[target];
+    const bool expired = req.expired(host_cycles());
+    if (expired || cancel_requested(req.cancel_token)) {
+      slot.counters.inc(expired ? obs::Counter::kDeadlineExceeded
+                                : obs::Counter::kCallsCancelled);
+      HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot.self_id,
+                       expired ? obs::TraceEvent::kDeadlineExceeded
+                               : obs::TraceEvent::kCallCancelled,
+                       id);
+      return;
     }
-
-    // Ring path: claim a chunk with one CAS, publish with one release
-    // store, ring one doorbell. No-deadline completion blocks live on this
-    // frame — zero heap allocations regardless of batch size; deadline
-    // chunks ride slot-pooled blocks exactly like call_remote, so an
-    // abandoned cell always points at storage that outlives this frame.
-    const std::uint64_t chunk_t0 = host_cycles();
-    std::array<XcallWait, XcallRing::kCapacity> waits;
-    std::array<XcallWait*, XcallRing::kCapacity> wait_ptrs;
-    const std::size_t want = std::min(batch.size() - i, wait_ptrs.size());
-    for (std::size_t k = 0; k < want; ++k) {
-      if (deadlined) {
-        wait_ptrs[k] = acquire_wait(me);
-      } else {
-        waits[k].regs = &batch[i + k];
-        wait_ptrs[k] = &waits[k];
-      }
-    }
-    // Delay seam between claim intent and publish: models a producer
-    // preempted mid-batch, so the soak exercises consumers observing a
-    // claimed-but-unpublished run behind a published one.
-    if (HPPC_FAULT_POINT("rt.xcall.batch.post")) {
-      me.counters.inc(obs::Counter::kFaultsInjected);
-      HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                       obs::TraceEvent::kFaultInject, target);
-    }
-    const std::size_t posted = ring.try_post_many(
-        caller, wire_ep, &batch[i], wait_ptrs.data(), want, deadline,
-        post_ctx_ptr);
-    if (deadlined) {
-      // Unpublished pooled blocks were never shared: straight back.
-      for (std::size_t k = posted; k < want; ++k) {
-        release_wait(me, wait_ptrs[k]);
-      }
-    }
-    if (posted == 0) {
-      me.counters.inc(obs::Counter::kXcallRingFull);
-      if (opts.retry == RetryPolicy::kFailFast ||
-          (deadlined && host_cycles() >= deadline) ||
-          (token != 0 && cancel_requested(token))) {
-        Status s = Status::kOverloaded;
-        if (opts.retry != RetryPolicy::kFailFast) {
-          s = (deadlined && host_cycles() >= deadline)
-                  ? Status::kDeadlineExceeded
-                  : Status::kCallAborted;
-        }
-        if (s == Status::kDeadlineExceeded) {
-          me.counters.inc(obs::Counter::kDeadlineExceeded);
-        } else if (s == Status::kCallAborted) {
-          me.counters.inc(obs::Counter::kCallsCancelled, batch.size() - i);
-          HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                           obs::TraceEvent::kCallCancelled, target);
-        }
-        for (; i < batch.size(); ++i) set_rc(batch[i], s);
-        fold(s);
-        break;
-      }
-      me.counters.inc(obs::Counter::kRetries);
-      if (!help_drain(tgt, caller_slot)) std::this_thread::yield();
-      continue;
-    }
-    ring_doorbell(me, tgt, caller_slot, bulk);
-    me.counters.inc(obs::Counter::kXcallPosts, posted);
-    me.counters.inc(obs::Counter::kXcallBatchPosts);
-    me.counters.inc(obs::Counter::kXcallCellsPerBatch, posted);
-    me.counters.inc(obs::Counter::kSharedLinesTouched, 2);
-    HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                     obs::TraceEvent::kXcallBatchPost,
-                     static_cast<std::uint32_t>(posted));
-
-    // Collect the chunk. Replies land directly in the caller's RegSets
-    // (stack-wait style); the first waits dominate the wall time, later
-    // ones are usually already complete by the time we look.
-    // Same adaptive cue as call_remote, judged once per chunk: with other
-    // producers queued ahead, collect by parking instead of yelling.
-    const int yield_rounds =
-        (tgt.ready_mask.load(std::memory_order_relaxed) &
-         ~doorbell_bit(caller_slot)) != 0
-            ? kWaitYieldRoundsContended
-            : kWaitYieldRounds;
-    for (std::size_t k = 0; k < posted; ++k) {
-      if (!deadlined) {
-        std::uint64_t park_t = 0;
-        fold(wait_complete(
-            waits[k], yield_rounds,
-            [this, &tgt, caller_slot] { help_drain(tgt, caller_slot); },
-            [this, &me, &park_t, caller_slot, target] {
-              me.counters.inc(obs::Counter::kWaiterParks);
-              park_t = host_cycles();
-              HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(),
-                               caller_slot, obs::TraceEvent::kWaiterPark,
-                               target);
-            }));
-        if (park_t != 0) {
-          me.hists->record(obs::Hist::kWakeup, host_cycles() - park_t);
-        }
-        continue;
-      }
-      // Deadline chunk: the same abandon protocol as call_remote, per
-      // cell. An abandoned pooled block goes to the zombie list (the
-      // server acks it at drain); a completed one hands its inline reply
-      // back and is recycled.
-      bool timed_out = false;
-      const Status s = wait_complete_deadline(
-          *wait_ptrs[k], deadline, [] { return host_cycles(); },
-          [this, &tgt, caller_slot] { help_drain(tgt, caller_slot); },
-          &timed_out);
-      if (timed_out) {
-        wait_ptrs[k]->next = me.wait_zombies;
-        me.wait_zombies = wait_ptrs[k];
-        me.counters.inc(obs::Counter::kDeadlineExceeded);
-        HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), caller_slot,
-                         obs::TraceEvent::kDeadlineExceeded, target);
-        set_rc(batch[i + k], Status::kDeadlineExceeded);
-        fold(Status::kDeadlineExceeded);
-      } else {
-        batch[i + k] = wait_ptrs[k]->reply;
-        release_wait(me, wait_ptrs[k]);
-        fold(s);
-      }
-    }
-    // Whole-chunk RTT (post through last collection): the per-class entry
-    // for the batched path, in the same units as kRttRemote.
-    me.hists->record(obs::Hist::kRttBatched, host_cycles() - chunk_t0);
-    if (bulk) me.hists->record(obs::Hist::kRttBulk, host_cycles() - chunk_t0);
-    i += posted;
-  }
-#if defined(HPPC_TRACE) && HPPC_TRACE
-  if (parent.traced()) {
-    end_span(me, parent.trace_id, span, parent.span_id, overall);
-  }
-#endif
-  return overall;
+    const RequestCtx saved_req = slot.cur_req;
+    slot.cur_req = req;
+    execute_remote(slot, caller, id, regs);
+    slot.cur_req = saved_req;
+  });
+  return Status::kOk;
 }
 
 void Runtime::enter_idle(SlotId slot_id) {

@@ -11,14 +11,18 @@
 // deferred to the owning slot.
 //
 // Cross-slot traffic (the paper's cross-processor path, §4.5.2) rides the
-// xcall layer: per-slot bounded MPSC rings of cache-line cells for the hot
-// path — call_remote() is a synchronous cross-slot PPC that either
-// direct-executes on an idle target slot (LRPC-style ownership handoff
-// through the SlotGate) or posts a ring cell and spin-then-yields on its
-// completion word — while the legacy allocating mailbox survives only as
-// the control-plane/overflow channel (kill reclamation, ring-full async
-// posts). A warm cross-slot call performs zero heap allocations, asserted
-// by the mailbox_allocs counter.
+// xcall layer: per-slot bounded MPSC rings of cache-line cells. Every
+// cross-slot entry point — call_remote, call_remote_batch,
+// call_remote_async, call_remote_frame, call_remote_frame_batch — is a
+// thin cell encoder over ONE call pipeline, as the paper runs its PPC
+// variants on one piece of machinery: admission (fold and screen the
+// request context, shed), direct execution on an idle target under a
+// SlotGate steal (LRPC-style ownership handoff), a post with the retry
+// policy, and collection of the completion words (spin→yield→park). The
+// legacy allocating mailbox survives only as the control-plane/overflow
+// channel (kill reclamation, ring-full async posts). A warm cross-slot
+// call performs zero heap allocations, asserted by the mailbox_allocs
+// counter. See docs/XCALL.md, "The call pipeline".
 #pragma once
 
 #include <array>
@@ -299,7 +303,7 @@ class Runtime {
   /// steal direct-executes the whole batch; otherwise the batch is posted
   /// in chunks of up to XcallRing::kCapacity cells, each chunk claimed
   /// with ONE CAS and published with ONE release store + ONE doorbell
-  /// (see try_post_many) — a burst of M calls costs ~1 cross-slot line
+  /// (see CellRing::post) — a burst of M calls costs ~1 cross-slot line
   /// transfer instead of M. Per-call results land in each RegSet's rc
   /// word; the return value is the first non-kOk rc (kOk if all passed).
   /// Zero heap allocations: completion blocks live on this stack frame.
@@ -781,6 +785,72 @@ class Runtime {
   /// zombies, then recycles or grows. Caller-slot-owner thread only.
   XcallWait* acquire_wait(Slot& me);
   void release_wait(Slot& me, XcallWait* w);
+
+  // ----- the cross-slot call pipeline (runtime.cpp, docs/XCALL.md) -----
+  //
+  // Every call_remote* entry point is a thin cell encoder over four steps:
+  // admit() folds and screens the request context, run_direct() executes
+  // on an idle target under a gate steal, post_cells() publishes under the
+  // retry policy, and collect() waits the completions out. submit() drives
+  // them for the synchronous lanes.
+
+  /// A lane's fixed traits (not a user option): which RTT histogram it
+  /// books, which caller-side span it mints, and whether its RequestCtx
+  /// rides the cell (and the direct execution) or is screened at admission
+  /// only. obs::Hist::kCount / obs::SpanKind::kCount = none.
+  struct Lane {
+    obs::Hist rtt;
+    obs::SpanKind span;         // ring path
+    obs::SpanKind direct_span;  // gate-steal direct path
+    bool ctx_in_cell;
+  };
+
+  /// One cross-slot call (or batch) in flight through the pipeline.
+  struct Call {
+    Slot& me;
+    Slot& tgt;
+    SlotId src;
+    SlotId target;
+    const CallOptions& opts;
+    RequestCtx req{};  // effective context: folded once, at admission
+    bool bulk = false;
+    obs::TraceCtx parent{};    // caller's trace context (trace builds)
+    obs::TraceCtx post_ctx{};  // what rides the cells / the stolen slot
+    std::uint32_t span = 0;
+    bool span_open = false;
+    Status overall = Status::kOk;  // first non-kOk per-call status
+  };
+
+  template <std::size_t K>
+  struct TypedCalls;  // call_remote (K = 1), call_remote_batch
+  template <std::size_t K>
+  struct FrameCalls;  // call_remote_frame (K = 1), call_remote_frame_batch
+
+  template <std::size_t K>
+  Status call_typed(SlotId src, SlotId target, ProgramId caller,
+                    EntryPointId id, std::span<RegSet> regs,
+                    const CallOptions& opts);
+  template <std::size_t K>
+  Status call_frames(SlotId src, SlotId target, ProgramId caller,
+                     std::span<CallFrame> frames);
+  template <typename Enc>
+  Status submit(Call& c, Enc& enc);
+  Status admit(Call& c, const Lane& lane, std::size_t n);
+  template <typename Enc>
+  std::size_t run_direct(Call& c, Enc& enc, std::size_t i);
+  template <std::size_t K, typename Fill>
+  std::size_t post_cells(Call& c, RetryPolicy retry, std::size_t remaining,
+                         std::size_t want, Fill&& fill, Status& give_up);
+  template <typename Enc>
+  void collect(Call& c, Enc& enc, std::size_t i, std::size_t posted,
+               XcallWait* const* waits, std::uint64_t t0,
+               std::uint64_t post_t);
+  /// Book `n` calls refused for an expired budget or a cancelled token.
+  void book_refused(Call& c, Status s, std::size_t n);
+  void open_span(Call& c, obs::SpanKind kind);
+  void record_rtt(Call& c, obs::Hist h, std::uint64_t dt);
+  /// kOk, or why `id` cannot take a new call.
+  Status service_status(EntryPointId id) const;
 
   /// Span bookkeeping (trace builds; no-ops otherwise). begin_span mints a
   /// span id on `slot`, emits kSpanBegin into its ring, and carries the

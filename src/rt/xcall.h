@@ -11,14 +11,20 @@
 // shared-memory rings the memory-offloading IPC literature places between
 // "same-core procedure call" and "kernel message queue".
 //
-// Three pieces:
+// The pieces:
 //
-//   XcallRing  — a Vyukov-style bounded multi-producer/single-consumer
-//                ring. Producers claim a cell with one CAS and publish it
-//                with one release store; the consumer drains every ready
-//                cell in a batch. No allocation, ever; a full ring is
-//                reported to the caller, who falls back to the legacy
-//                mailbox (the overflow path, now control-plane only).
+//   CellRing   — a Vyukov-style bounded multi-producer/single-consumer
+//                ring, generic over its cell type. post(n, fill) is the one
+//                claim-and-publish: one CAS claims a run of up to n
+//                contiguous cells and one release store publishes it (the
+//                batch doorbell); the consumer drains every ready cell in
+//                a batch. No allocation, ever; a full ring is reported to
+//                the caller. The ring holds no pointers, so the same
+//                template runs between slots (XcallRing over XcallCell)
+//                and between processes (shm::LaneHeader over ShmCell).
+//
+//   XcallCell  — the in-process cell; encode_call() and encode_frame()
+//                are its two encodings (typed request / Figure-4 frame).
 //
 //   SlotGate   — the slot-ownership word that makes the *adaptive* part of
 //                Runtime::call_remote possible. A slot whose owning thread
@@ -31,18 +37,14 @@
 //                acquire/release CAS pair, so single-consumer structures
 //                stay single-consumer *at a time*.
 //
-//   XcallWait  — the caller-side completion block for synchronous calls:
-//                one atomic word (0 while pending, 0x100|Status when
-//                done) waited on with an adaptive spin→yield→park ladder.
-//                A waiter that exhausts its yield budget parks on the word
-//                (C++20 atomic wait); the completing server's exchange sees
-//                the parked bit and kicks it with one notify.
-//
-// Batched submission: try_post_many() claims N contiguous cells with ONE
-// CAS and publishes the whole run with ONE release store (the batch
-// doorbell) — cells after the first are published with relaxed stores, and
-// the consumer's in-order acquire of the run's first cell carries the
-// happens-before edge for all of them.
+//   DoneWord   — the completion state machine shared by the in-process
+//                XcallWait and the cross-process shm::ShmWait: one atomic
+//                word (0 while pending, 0x100|Status when done) with the
+//                abandon / ack / park transitions. In process it is waited
+//                on with an adaptive spin→yield→park ladder (wait_complete
+//                below): a waiter that exhausts its yield budget parks on
+//                the word (C++20 atomic wait); the completing server's
+//                exchange sees the parked bit and kicks it with one notify.
 //
 // A warm cross-slot call — direct or ring, single or batched — performs
 // ZERO heap allocations; the `mailbox_allocs` counter exists to assert
@@ -70,17 +72,12 @@ namespace hppc::rt {
 // callers.
 using ::hppc::cpu_relax;
 
-/// Caller-side completion block for a synchronous cross-slot call. The
-/// default (no-deadline) path keeps it on the caller's stack (cache-hot
-/// for the spinner) with `regs` pointing at the caller's register file;
-/// deadline calls use slot-pooled blocks with `regs == nullptr` and the
-/// reply landing in the inline `reply` buffer, so a caller that abandons
-/// the wait leaves the server a target that stays valid forever.
-///
-/// The done word is a tiny state machine:
+/// The done word every completion block shares — the in-process XcallWait
+/// below and the cross-process shm::ShmWait (shm/layout.h) — a tiny state
+/// machine over one 32-bit atomic:
 ///   0                      — pending (caller spinning or yielding)
 ///   kParkedBit             — pending, caller parked on the word (only
-///                            no-deadline waiters ever park)
+///                            no-deadline in-process waiters ever park)
 ///   kAbandonedBit          — caller's deadline expired; it left (only
 ///                            pooled blocks ever reach this state)
 ///   kDoneBit | status      — server completed (reply valid)
@@ -91,18 +88,12 @@ using ::hppc::cpu_relax;
 /// over one; the server's final exchange always sets kDoneBit and observes
 /// the parked bit it replaces, so a parked waiter is always kicked and an
 /// abandoned block always becomes reclaimable once its cell drains.
-struct XcallWait {
+struct DoneWord {
   static constexpr std::uint32_t kDoneBit = 0x100;
   static constexpr std::uint32_t kAbandonedBit = 0x200;
   static constexpr std::uint32_t kParkedBit = 0x400;
 
   std::atomic<std::uint32_t> done{0};
-  ppc::RegSet* regs = nullptr;  // caller's in/out register file (stack waits)
-  XcallWait* next = nullptr;    // caller-slot pool link (pooled waits)
-  ppc::RegSet reply{};          // inline reply buffer (pooled waits)
-
-  /// Where the server writes the request/reply registers.
-  ppc::RegSet& reply_target() { return regs != nullptr ? *regs : reply; }
 
   /// Server side: publish the result. The exchange (not a plain store)
   /// closes the park race — a waiter parks by CAS 0→kParkedBit, so either
@@ -131,6 +122,16 @@ struct XcallWait {
                std::memory_order_release);
   }
 
+  /// Teardown (runtime shutdown, shm peer reaping): retire a cell without
+  /// executing it — ack an abandoned wait, fail a live one kCallAborted.
+  void abort() {
+    if (abandoned()) {
+      ack_abandoned();
+    } else {
+      complete(Status::kCallAborted);
+    }
+  }
+
   /// Caller side, on deadline expiry. True: the wait is abandoned and the
   /// caller may leave (the block must survive until the server acks).
   /// False: the server completed first — the caller takes the real result.
@@ -146,6 +147,21 @@ struct XcallWait {
   bool server_finished() const {
     return (done.load(std::memory_order_acquire) & kDoneBit) != 0;
   }
+};
+
+/// Caller-side completion block for a synchronous cross-slot call. The
+/// default (no-deadline) path keeps it on the caller's stack (cache-hot
+/// for the spinner) with `regs` pointing at the caller's register file;
+/// deadline calls use slot-pooled blocks with `regs == nullptr` and the
+/// reply landing in the inline `reply` buffer, so a caller that abandons
+/// the wait leaves the server a target that stays valid forever.
+struct XcallWait : DoneWord {
+  ppc::RegSet* regs = nullptr;  // caller's in/out register file (stack waits)
+  XcallWait* next = nullptr;    // caller-slot pool link (pooled waits)
+  ppc::RegSet reply{};          // inline reply buffer (pooled waits)
+
+  /// Where the server writes the request/reply registers.
+  ppc::RegSet& reply_target() { return regs != nullptr ? *regs : reply; }
 
   void reset() {
     done.store(0, std::memory_order_relaxed);
@@ -251,169 +267,102 @@ inline bool cell_is_bulk(EntryPointId wire) {
   return (wire & kCellBulkBit) != 0;
 }
 
-/// Bounded MPSC ring channel. Any thread posts; only the slot's current
-/// ownership holder (owner thread, or a remote thread that won the
-/// SlotGate) drains. Capacity is a compile-time power of two so the index
-/// wrap is a mask.
-class XcallRing {
- public:
-  static constexpr std::size_t kCapacity = 64;
-  static_assert((kCapacity & (kCapacity - 1)) == 0);
+/// The two XcallCell encodings. A typed call carries its packed ep word
+/// (cell_pack_ep), payload, completion block and absolute deadline; a
+/// frame call carries the frame-table index in ep and its op word in the
+/// deadline lane. `tctx` (trace builds only) rides the cell to the
+/// consumer; ignored in shipped builds.
+inline void encode_call(XcallCell& cell, ProgramId caller, EntryPointId wire,
+                        const ppc::RegSet& regs, XcallWait* wait,
+                        std::uint64_t deadline, const obs::TraceCtx* tctx) {
+  cell.caller = caller;
+  cell.ep = wire;
+  cell.regs = regs;
+  cell.wait = wait;
+  cell.deadline = deadline;
+#if defined(HPPC_TRACE) && HPPC_TRACE
+  cell.tctx = tctx != nullptr ? *tctx : obs::TraceCtx{};
+#else
+  (void)tctx;
+#endif
+}
 
-  XcallRing() {
-    for (std::size_t i = 0; i < kCapacity; ++i) {
+inline void encode_frame(XcallCell& cell, ProgramId caller, const CallFrame& f,
+                         XcallWait* wait, const obs::TraceCtx* tctx) {
+  encode_call(cell, caller, kFrameCellEp | frame_service_of(f.op),
+              ppc::RegSet{f.w}, wait, /*deadline=*/f.op, tctx);
+}
+
+/// Bounded MPSC ring of `Cell`s — the one claim/publish/drain protocol,
+/// instantiated in process (XcallRing) and inside an shm segment
+/// (shm::LaneHeader). Any thread posts; only the current ownership holder
+/// drains. A Cell needs an atomic<uint64_t> `seq`; the ring itself holds
+/// no pointers, so it is position-independent and may live in a segment
+/// mapped at a different address in every process. Capacity is a power of
+/// two so the index wrap is a mask.
+template <typename Cell, std::size_t kCap>
+class CellRing {
+ public:
+  static constexpr std::size_t kCapacity = kCap;
+  static_assert((kCap & (kCap - 1)) == 0);
+
+  CellRing() { reset(); }
+  CellRing(const CellRing&) = delete;
+  CellRing& operator=(const CellRing&) = delete;
+
+  /// Re-arm to empty. Quiescent callers only: construction, and the shm
+  /// reaper re-arming a dead peer's lane.
+  void reset() {
+    for (std::size_t i = 0; i < kCap; ++i) {
       cells_[i].seq.store(i, std::memory_order_relaxed);
     }
+    enqueue_pos_.store(0, std::memory_order_relaxed);
+    dequeue_pos_.store(0, std::memory_order_relaxed);
   }
 
-  XcallRing(const XcallRing&) = delete;
-  XcallRing& operator=(const XcallRing&) = delete;
-
-  /// Any thread. One CAS to claim a cell, one release store to publish.
-  /// Returns false when the ring is full (the caller takes the overflow
-  /// path); never blocks, never allocates. `tctx` (trace builds only)
-  /// rides the cell to the consumer; ignored in shipped builds.
-  bool try_post(ProgramId caller, EntryPointId ep, const ppc::RegSet& regs,
-                XcallWait* wait, std::uint64_t deadline = 0,
-                const obs::TraceCtx* tctx = nullptr) {
+  /// Any thread. Claims up to `n` contiguous cells with ONE CAS on the
+  /// enqueue cursor, has `fill(cell, i)` write run index i's payload, and
+  /// publishes the whole run with ONE release store — the batch doorbell.
+  /// Never blocks, never allocates; returns the number of cells posted
+  /// (0 = ring full). A short count is not an error — the caller
+  /// re-submits the tail.
+  ///
+  /// The run's first cell is Vyukov's check (seq == pos: free; below:
+  /// full; above: our cursor is stale). The rest is validated at the run's
+  /// LAST cell: the consumer retires in order, so `seq == pos+m-1` there
+  /// implies all of [pos, pos+m) is free; on a busy ring the run halves
+  /// until it fits. Cells are filled back to front with relaxed seq
+  /// stores and the first cell — the one the drain cursor waits on — is
+  /// published last, with release: the single consumer reads cell k only
+  /// after its acquire of cell 0, which carries the happens-before edge
+  /// for the whole run.
+  template <typename Fill>
+  std::size_t post(std::size_t n, Fill&& fill) {
+    if (n == 0) return 0;
+    if (n > kCap) n = kCap;
     std::uint64_t pos = enqueue_pos_.load(std::memory_order_relaxed);
-    XcallCell* cell;
+    std::size_t m;
     for (;;) {
-      cell = &cells_[pos & (kCapacity - 1)];
-      const std::uint64_t seq = cell->seq.load(std::memory_order_acquire);
-      const std::int64_t dif =
-          static_cast<std::int64_t>(seq) - static_cast<std::int64_t>(pos);
-      if (dif == 0) {
-        if (enqueue_pos_.compare_exchange_weak(pos, pos + 1,
-                                               std::memory_order_relaxed)) {
-          break;
-        }
-      } else if (dif < 0) {
-        return false;  // full: the cell kCapacity behind is not retired yet
-      } else {
+      const auto dif = static_cast<std::int64_t>(
+          cells_[pos & kMask].seq.load(std::memory_order_acquire) - pos);
+      if (dif < 0) return 0;  // the cell kCap behind is not retired yet
+      if (dif > 0) {
         pos = enqueue_pos_.load(std::memory_order_relaxed);
+        continue;
       }
-    }
-    cell->caller = caller;
-    cell->ep = ep;
-    cell->regs = regs;
-    cell->wait = wait;
-    cell->deadline = deadline;
-#if defined(HPPC_TRACE) && HPPC_TRACE
-    cell->tctx = tctx != nullptr ? *tctx : obs::TraceCtx{};
-#else
-    (void)tctx;
-#endif
-    cell->seq.store(pos + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Any thread. Vectored post: claims up to `n` contiguous cells with ONE
-  /// CAS on the enqueue cursor and publishes the whole run with ONE release
-  /// store — the batch doorbell. Cells after the run's first are published
-  /// with relaxed seq stores; that is sound because the single consumer
-  /// drains strictly in order, so it only reads cell k after its acquire of
-  /// cell 0's seq, which synchronizes-with the release below and the
-  /// relaxed stores sequenced before it.
-  ///
-  /// The claim is validated against the run's LAST cell: the consumer
-  /// retires cells in order, so `cells[pos+m-1].seq == pos+m-1` implies the
-  /// whole run [pos, pos+m) is free. On a busy ring the attempted run is
-  /// halved until it fits. Returns the number of cells posted (0 = ring
-  /// full); a short count is not an error — the caller re-submits the tail.
-  ///
-  /// `waits[i]` may be null per cell (fire-and-forget); `waits == nullptr`
-  /// means every cell is fire-and-forget. One `tctx` covers the whole run
-  /// (a batch is one span; the server parents each cell's execution to it).
-  std::size_t try_post_many(ProgramId caller, EntryPointId ep,
-                            const ppc::RegSet* regs,
-                            XcallWait* const* waits, std::size_t n,
-                            std::uint64_t deadline = 0,
-                            const obs::TraceCtx* tctx = nullptr) {
-    if (n == 0) return 0;
-    if (n > kCapacity) n = kCapacity;
-    std::uint64_t pos = enqueue_pos_.load(std::memory_order_relaxed);
-    std::size_t m;
-    for (;;) {
       m = n;
-      while (m > 0) {
-        const XcallCell& last = cells_[(pos + m - 1) & (kCapacity - 1)];
-        if (last.seq.load(std::memory_order_acquire) == pos + m - 1) break;
-        m >>= 1;  // run not free at this length — try a shorter one
-      }
-      if (m == 0) return 0;
-      if (enqueue_pos_.compare_exchange_weak(pos, pos + m,
-                                             std::memory_order_relaxed)) {
-        break;  // claimed [pos, pos+m)
-      }
-      // CAS reloaded pos: another producer moved the cursor; revalidate.
-    }
-    // Fill back to front so the run's first cell — the one the consumer's
-    // drain cursor is waiting on — is published last, with release.
-    for (std::size_t i = m; i-- > 0;) {
-      XcallCell& cell = cells_[(pos + i) & (kCapacity - 1)];
-      cell.caller = caller;
-      cell.ep = ep;
-      cell.regs = regs[i];
-      cell.wait = waits != nullptr ? waits[i] : nullptr;
-      cell.deadline = deadline;
-#if defined(HPPC_TRACE) && HPPC_TRACE
-      cell.tctx = tctx != nullptr ? *tctx : obs::TraceCtx{};
-#else
-      (void)tctx;
-#endif
-      cell.seq.store(pos + i + 1, i == 0 ? std::memory_order_release
-                                         : std::memory_order_relaxed);
-    }
-    return m;
-  }
-
-  /// Any thread. Publish one Figure-4 frame call: the whole request —
-  /// packed op word plus all 8 payload words — inlines in the cell (see
-  /// kFrameCellEp for the lane assignment). Same claim/publish protocol
-  /// and same failure contract as try_post.
-  bool try_post_frame(ProgramId caller, const CallFrame& f, XcallWait* wait,
-                      const obs::TraceCtx* tctx = nullptr) {
-    return try_post(caller, kFrameCellEp | frame_service_of(f.op),
-                    ppc::RegSet{f.w}, wait, /*deadline=*/f.op, tctx);
-  }
-
-  /// Any thread. Vectored frame post: the frame analogue of try_post_many
-  /// (one CAS claims the run, one release store publishes it), except each
-  /// cell carries its own op word — frames in one batch may target
-  /// different opcodes (and even different frame services).
-  std::size_t try_post_frames(ProgramId caller, const CallFrame* frames,
-                              XcallWait* const* waits, std::size_t n,
-                              const obs::TraceCtx* tctx = nullptr) {
-    if (n == 0) return 0;
-    if (n > kCapacity) n = kCapacity;
-    std::uint64_t pos = enqueue_pos_.load(std::memory_order_relaxed);
-    std::size_t m;
-    for (;;) {
-      m = n;
-      while (m > 0) {
-        const XcallCell& last = cells_[(pos + m - 1) & (kCapacity - 1)];
-        if (last.seq.load(std::memory_order_acquire) == pos + m - 1) break;
+      while (m > 1 && cells_[(pos + m - 1) & kMask].seq.load(
+                          std::memory_order_acquire) != pos + m - 1) {
         m >>= 1;
       }
-      if (m == 0) return 0;
       if (enqueue_pos_.compare_exchange_weak(pos, pos + m,
                                              std::memory_order_relaxed)) {
-        break;
+        break;  // claimed [pos, pos+m); a failed CAS reloaded pos
       }
     }
     for (std::size_t i = m; i-- > 0;) {
-      XcallCell& cell = cells_[(pos + i) & (kCapacity - 1)];
-      cell.caller = caller;
-      cell.ep = kFrameCellEp | frame_service_of(frames[i].op);
-      cell.regs.w = frames[i].w;
-      cell.wait = waits != nullptr ? waits[i] : nullptr;
-      cell.deadline = frames[i].op;  // the op lane, not a deadline
-#if defined(HPPC_TRACE) && HPPC_TRACE
-      cell.tctx = tctx != nullptr ? *tctx : obs::TraceCtx{};
-#else
-      (void)tctx;
-#endif
+      Cell& cell = cells_[(pos + i) & kMask];
+      fill(cell, i);
       cell.seq.store(pos + i + 1, i == 0 ? std::memory_order_release
                                          : std::memory_order_relaxed);
     }
@@ -426,41 +375,48 @@ class XcallRing {
   std::size_t drain(Fn&& fn) {
     std::size_t n = 0;
     for (;;) {
-      std::uint64_t pos = dequeue_pos_.load(std::memory_order_relaxed);
-      XcallCell& cell = cells_[pos & (kCapacity - 1)];
+      const std::uint64_t pos = dequeue_pos_.load(std::memory_order_relaxed);
+      Cell& cell = cells_[pos & kMask];
       if (cell.seq.load(std::memory_order_acquire) != pos + 1) break;
       fn(cell);
-      cell.seq.store(pos + kCapacity, std::memory_order_release);
+      cell.seq.store(pos + kCap, std::memory_order_release);
       dequeue_pos_.store(pos + 1, std::memory_order_relaxed);
       ++n;
     }
     return n;
   }
 
-  /// Producer-side hint (racy by nature): are there published-but-undrained
-  /// cells? Used by serve() to decide whether to wake; correctness never
-  /// depends on it (waiters help-drain through the gate).
-  bool has_pending() const {
-    return enqueue_pos_.load(std::memory_order_relaxed) !=
-           dequeue_pos_.load(std::memory_order_relaxed);
-  }
-
-  /// Approximate queue depth (racy snapshot of the two cursors). Admission
-  /// control compares it against a watermark; an off-by-a-few answer just
+  /// Racy cursor snapshots. has_pending() is a producer-side hint (serve()
+  /// uses it to decide whether to wake; correctness never depends on it);
+  /// depth() feeds admission control, where an off-by-a-few answer just
   /// moves the shedding threshold by that much for one call.
+  std::uint64_t enqueue_pos() const {
+    return enqueue_pos_.load(std::memory_order_acquire);
+  }
+  std::uint64_t dequeue_pos() const {
+    return dequeue_pos_.load(std::memory_order_acquire);
+  }
+  bool has_pending() const { return enqueue_pos() != dequeue_pos(); }
   std::size_t depth() const {
-    const std::uint64_t enq = enqueue_pos_.load(std::memory_order_relaxed);
-    const std::uint64_t deq = dequeue_pos_.load(std::memory_order_relaxed);
+    const std::uint64_t enq = enqueue_pos();
+    const std::uint64_t deq = dequeue_pos();
     return enq > deq ? static_cast<std::size_t>(enq - deq) : 0;
   }
 
+  /// The cell backing position `pos` (observers and tests).
+  const Cell& cell(std::uint64_t pos) const { return cells_[pos & kMask]; }
+
  private:
+  static constexpr std::uint64_t kMask = kCap - 1;
   // Producer-shared and consumer-private positions on separate lines so
   // remote CAS traffic never collides with the drain cursor.
   alignas(kHostCacheLine) std::atomic<std::uint64_t> enqueue_pos_{0};
   alignas(kHostCacheLine) std::atomic<std::uint64_t> dequeue_pos_{0};
-  std::array<XcallCell, kCapacity> cells_;
+  std::array<Cell, kCap> cells_;
 };
+
+/// The in-process channel: one per (producer slot, consumer slot) pair.
+using XcallRing = CellRing<XcallCell, 64>;
 
 /// The slot-ownership word. States:
 ///   kOwner  — the registered thread is running; remote callers must use

@@ -4,14 +4,14 @@
 // maps at a different virtual address in every process that opens it.
 //
 // This is the paper's PPC data area crossed with the xcall layer: the
-// same Vyukov ring-cell protocol rt/xcall.h runs between slots of one
-// process, laid out inside an shm_open/mmap segment so a caller PROCESS
-// and a server PROCESS exchange warm null PPCs with zero locks and zero
-// allocations. The wait-block done-word state machine is reused bit for
-// bit (kDoneBit/kAbandonedBit from rt::XcallWait), with one cross-process
-// amendment: nobody ever parks. std::atomic::wait lowers to
-// FUTEX_WAIT_PRIVATE, which does not cross address spaces, so shm waiters
-// spin-then-sched_yield and kParkedBit is never set on a segment word.
+// very ring template rt/xcall.h runs between slots of one process
+// (rt::CellRing, here over ShmCell), laid out inside an shm_open/mmap
+// segment so a caller PROCESS and a server PROCESS exchange warm null PPCs
+// with zero locks and zero allocations. The wait block's done word is
+// rt::DoneWord, with one cross-process amendment: nobody ever parks.
+// std::atomic::wait lowers to FUTEX_WAIT_PRIVATE, which does not cross
+// address spaces, so shm waiters spin-then-sched_yield and kParkedBit is
+// never set on a segment word.
 //
 // Creation protocol: the server process lays the segment out through a
 // segment-backed mem::Arena (mem/arena.h), records every offset in the
@@ -49,7 +49,7 @@
 namespace hppc::shm {
 
 inline constexpr std::uint64_t kShmMagic = 0x48505043'53484d31ull;  // HPPCSHM1
-inline constexpr std::uint32_t kShmVersion = 1;
+inline constexpr std::uint32_t kShmVersion = 2;
 
 /// Peers one segment can host (one call lane each).
 inline constexpr std::uint32_t kMaxShmPeers = 8;
@@ -69,41 +69,16 @@ inline constexpr std::uint64_t kNullOff = 0;
 
 // -- wait blocks ------------------------------------------------------------
 
-/// The cross-process completion block: rt::XcallWait with the pointers
-/// replaced by offsets and the reply RegSet always inline (there is no
-/// "caller's stack RegSet" to point at across address spaces). The done
-/// word reuses rt::XcallWait's bit constants and CAS protocol; see the
+/// The cross-process completion block: rt::XcallWait's done word
+/// (rt::DoneWord — the same type, the same CAS protocol) with the pool
+/// link as an offset and the reply RegSet always inline (there is no
+/// "caller's stack RegSet" to point at across address spaces). See the
 /// file comment for why kParkedBit never appears here.
-struct ShmWait {
-  static constexpr std::uint32_t kDoneBit = rt::XcallWait::kDoneBit;
-  static constexpr std::uint32_t kAbandonedBit = rt::XcallWait::kAbandonedBit;
-
-  std::atomic<std::uint32_t> done{0};
+struct ShmWait : rt::DoneWord {
   std::uint32_t pad = 0;
   std::uint64_t next_off = kNullOff;  // lane free-list link (peer-private)
   ppc::RegSet reply;                  // server writes the reply words here
 
-  /// Server side: publish the result. No notify — shm waiters never park.
-  void complete(Status rc) {
-    done.store(kDoneBit | static_cast<std::uint32_t>(rc),
-               std::memory_order_release);
-  }
-
-  bool abandoned() const {
-    return (done.load(std::memory_order_acquire) & kAbandonedBit) != 0;
-  }
-  void ack_abandoned() {
-    done.store(kDoneBit | kAbandonedBit |
-                   static_cast<std::uint32_t>(Status::kCallAborted),
-               std::memory_order_release);
-  }
-
-  bool completed() const {
-    return (done.load(std::memory_order_acquire) & kDoneBit) != 0;
-  }
-  Status result() const {
-    return static_cast<Status>(done.load(std::memory_order_acquire) & 0xFF);
-  }
   void reset() { done.store(0, std::memory_order_relaxed); }
 };
 static_assert(std::is_trivially_destructible_v<ShmWait>);
@@ -127,13 +102,13 @@ static_assert(std::is_trivially_destructible_v<ShmCell>);
 
 // -- lanes ------------------------------------------------------------------
 
-/// One peer's call lane: a bounded ring of ShmCells plus that peer's wait
-/// pool. Producer cursor and consumer cursor sit on their own lines so
-/// the poster and the drainer never bounce a line that isn't a cell.
+/// A lane's ring: the in-process ring template over ShmCells — cursors on
+/// their own lines, cells behind them, no pointers anywhere.
+using ShmRing = rt::CellRing<ShmCell, kShmRingCapacity>;
+
+/// One peer's call lane: its ring plus its wait pool.
 struct LaneHeader {
-  alignas(kHostCacheLine) std::atomic<std::uint64_t> enqueue_pos{0};
-  alignas(kHostCacheLine) std::atomic<std::uint64_t> dequeue_pos{0};
-  alignas(kHostCacheLine) std::uint64_t ring_off = kNullOff;   // ShmCell[kShmRingCapacity]
+  ShmRing ring;
   std::uint64_t waits_off = kNullOff;  // ShmWait[kShmWaitsPerLane]
   /// Head of the lane's wait free list (offset; kNullOff = empty). Owned
   /// by the attached peer while it lives; rebuilt wholesale by the

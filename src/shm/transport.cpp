@@ -70,6 +70,19 @@ std::atomic<std::uint32_t>* cancel_cursor_of(Segment& seg) {
   return seg.at<std::atomic<std::uint32_t>>(hdr->cancel_cursor_off);
 }
 
+/// Link every wait block of `lane` into its free list, in index order:
+/// the full-length pool a fresh lane starts with and a reaped lane gets
+/// back. Relink only — done words are left as they are.
+void relink_waits(Segment& seg, LaneHeader& lane) {
+  auto* waits = seg.at<ShmWait>(lane.waits_off);
+  for (std::uint32_t i = 0; i < kShmWaitsPerLane; ++i) {
+    waits[i].next_off = i + 1 < kShmWaitsPerLane
+                            ? seg.offset_of(&waits[i + 1])
+                            : kNullOff;
+  }
+  lane.wait_free_off = seg.offset_of(&waits[0]);
+}
+
 }  // namespace
 
 // -- segment-resident cancel pool -------------------------------------------
@@ -126,18 +139,12 @@ Server::Server(const std::string& name, ServerOptions opts)
       arena.create_array<std::atomic<std::uint32_t>>(0, rt::kMaxCancelTokens);
   auto* cursor = arena.create<std::atomic<std::uint32_t>>(0, 1u);
 
+  // Each lane's ring is constructed armed (it lives inside LaneHeader);
+  // only its wait pool sits behind it.
   for (std::uint32_t p = 0; p < kMaxShmPeers; ++p) {
-    auto* ring = arena.create_array<ShmCell>(0, kShmRingCapacity);
-    for (std::uint64_t i = 0; i < kShmRingCapacity; ++i) {
-      ring[i].seq.store(i, std::memory_order_relaxed);
-    }
-    auto* waits = arena.create_array<ShmWait>(0, kShmWaitsPerLane);
-    for (std::uint32_t i = 0; i + 1 < kShmWaitsPerLane; ++i) {
-      waits[i].next_off = seg_.offset_of(&waits[i + 1]);
-    }
-    lanes[p].ring_off = seg_.offset_of(ring);
-    lanes[p].waits_off = seg_.offset_of(waits);
-    lanes[p].wait_free_off = seg_.offset_of(&waits[0]);
+    lanes[p].waits_off = seg_.offset_of(
+        arena.create_array<ShmWait>(0, kShmWaitsPerLane));
+    relink_waits(seg_, lanes[p]);
   }
 
   hdr->version = kShmVersion;
@@ -187,59 +194,40 @@ std::size_t Server::poll() {
 }
 
 std::size_t Server::drain_lane(std::uint32_t peer_idx) {
-  const ShmHeader* hdr = header();
-  auto* lane = seg_.at<LaneHeader>(hdr->lanes_off) + peer_idx;
-  auto* ring = seg_.at<ShmCell>(lane->ring_off);
+  auto* lane = seg_.at<LaneHeader>(header()->lanes_off) + peer_idx;
   auto* flags = cancel_flags_of(seg_);
-  constexpr std::uint64_t kMask = kShmRingCapacity - 1;
-
-  std::size_t n = 0;
-  std::uint64_t pos = lane->dequeue_pos.load(std::memory_order_relaxed);
-  for (;;) {
-    ShmCell& cell = ring[pos & kMask];
-    if (cell.seq.load(std::memory_order_acquire) != pos + 1) break;
-
+  const std::size_t n = lane->ring.drain([&](ShmCell& cell) {
     ShmWait* wait =
         cell.wait_off != kNullOff ? seg_.at<ShmWait>(cell.wait_off) : nullptr;
-    const std::uint32_t wire = cell.ep;
-    const ShmEp ep = rt::cell_ep(wire);
-    const std::uint32_t token = rt::cell_token_idx(wire);
+    const ShmEp ep = rt::cell_ep(cell.ep);
+    const std::uint32_t token = rt::cell_token_idx(cell.ep);
+    counters_->inc(obs::Counter::kXcallCellsDrained);
 
     if (wait != nullptr && wait->abandoned()) {
       wait->ack_abandoned();
-    } else if (token != 0 &&
-               flags[token].load(std::memory_order_acquire) != 0) {
-      // The drain-side cancel sweep — the same one-load check the
+      return;
+    }
+    Status rc = Status::kCallAborted;
+    if (token == 0 || flags[token].load(std::memory_order_acquire) == 0) {
+      // Not cancelled (the drain-side sweep: the same one-load check the
       // in-process drain performs, reading a flag ANY process may have
-      // raised (that is satellite 2's acceptance test).
-      if (wait != nullptr) wait->complete(Status::kCallAborted);
-    } else {
+      // raised). Execute straight into the wait block's reply RegSet: the
+      // cell's payload is copied there once, the handler mutates it in
+      // place, and the done-word release publishes it. A fire-and-forget
+      // cell executes on its own payload.
       ShmFn fn = ep < kMaxShmEps
                      ? services_[ep].fn.load(std::memory_order_acquire)
                      : nullptr;
-      Status rc = Status::kNoSuchEntryPoint;
+      rc = Status::kNoSuchEntryPoint;
       if (fn != nullptr) {
         ShmCtx ctx{this, &copy_, peer_idx, cell.caller};
-        if (wait != nullptr) {
-          // Execute straight into the wait block's reply RegSet: the
-          // cell's payload is copied there once, the handler mutates it
-          // in place, and the done-word release publishes it.
-          wait->reply = cell.regs;
-          rc = fn(services_[ep].self, ctx, wait->reply);
-        } else {
-          ppc::RegSet scratch = cell.regs;
-          rc = fn(services_[ep].self, ctx, scratch);
-        }
+        ppc::RegSet& out = wait != nullptr ? wait->reply : cell.regs;
+        out = cell.regs;
+        rc = fn(services_[ep].self, ctx, out);
       }
-      if (wait != nullptr) wait->complete(rc);
     }
-
-    cell.seq.store(pos + kShmRingCapacity, std::memory_order_release);
-    ++pos;
-    ++n;
-    counters_->inc(obs::Counter::kXcallCellsDrained);
-  }
-  lane->dequeue_pos.store(pos, std::memory_order_relaxed);
+    if (wait != nullptr) wait->complete(rc);
+  });
   if (n != 0) counters_->inc(obs::Counter::kXcallBatches);
   return n;
 }
@@ -287,48 +275,31 @@ void Server::reap_lane(std::uint32_t peer_idx) {
   const ShmHeader* hdr = header();
   auto* peers = seg_.at<PeerSlot>(hdr->peers_off);
   auto* lane = seg_.at<LaneHeader>(hdr->lanes_off) + peer_idx;
-  auto* ring = seg_.at<ShmCell>(lane->ring_off);
-  auto* waits = seg_.at<ShmWait>(lane->waits_off);
   auto* regions = seg_.at<RegionSlot>(hdr->regions_off);
   PeerSlot& slot = peers[peer_idx];
-  constexpr std::uint64_t kMask = kShmRingCapacity - 1;
 
   slot.state.store(kPeerDead, std::memory_order_release);
 
   // Administrative drain: every PUBLISHED in-flight cell completes with
   // kCallAborted — nothing executes on behalf of a dead caller. A cell
   // the dying peer claimed but never published (SIGKILL mid-post) has no
-  // readable payload; the wholesale ring reset below retires it.
-  std::uint64_t pos = lane->dequeue_pos.load(std::memory_order_relaxed);
-  const std::uint64_t end = lane->enqueue_pos.load(std::memory_order_acquire);
-  for (; pos != end; ++pos) {
-    ShmCell& cell = ring[pos & kMask];
-    if (cell.seq.load(std::memory_order_acquire) != pos + 1) continue;
-    if (cell.wait_off != kNullOff) {
-      seg_.at<ShmWait>(cell.wait_off)->complete(Status::kCallAborted);
-    }
-  }
+  // readable payload; the lane has one producer, so it can only be the
+  // last claim, and the ring reset below retires it.
+  lane->ring.drain([&](ShmCell& cell) {
+    if (cell.wait_off != kNullOff) seg_.at<ShmWait>(cell.wait_off)->abort();
+  });
 
   // Re-arm the ring and rebuild the wait pool wholesale. Relinking all
   // kShmWaitsPerLane blocks is what makes pool conservation a
   // construction property rather than an accounting hope: whatever the
-  // dead peer held, the free list is full-length again.
-  for (std::uint64_t i = 0; i < kShmRingCapacity; ++i) {
-    ring[i].seq.store(i, std::memory_order_relaxed);
-  }
-  lane->enqueue_pos.store(0, std::memory_order_relaxed);
-  lane->dequeue_pos.store(0, std::memory_order_relaxed);
-  // Relink only — done words stay as the administrative drain left them.
-  // If the reap was spurious (8x backstop, peer merely wedged), the caller
-  // is still spinning on its done word and must be able to observe the
-  // kCallAborted completion; acquire_wait()+reset() clears the word when a
-  // block is next handed out.
-  for (std::uint32_t i = 0; i < kShmWaitsPerLane; ++i) {
-    waits[i].next_off = i + 1 < kShmWaitsPerLane
-                            ? seg_.offset_of(&waits[i + 1])
-                            : kNullOff;
-  }
-  lane->wait_free_off = seg_.offset_of(&waits[0]);
+  // dead peer held, the free list is full-length again. Done words stay
+  // as the administrative drain left them: if the reap was spurious (8x
+  // backstop, peer merely wedged), the caller is still spinning on its
+  // done word and must be able to observe the kCallAborted completion;
+  // acquire_wait()+reset() clears the word when a block is next handed
+  // out.
+  lane->ring.reset();
+  relink_waits(seg_, *lane);
 
   // Revoke the dead peer's grants: nothing may resolve against a region
   // whose owner is gone, and the backing segments' names are reclaimed.
@@ -405,8 +376,6 @@ Peer::Peer(const std::string& name, ProgramId program, ServerOptions opts)
   }
   idx_ = claimed;
   lane_ = seg_.at<LaneHeader>(hdr->lanes_off) + idx_;
-  ring_ = seg_.at<ShmCell>(lane_->ring_off);
-  waits_ = seg_.at<ShmWait>(lane_->waits_off);
 
   PeerSlot& slot = peers[idx_];
   slot.pid.store(self_pid(), std::memory_order_relaxed);
@@ -450,35 +419,19 @@ Status Peer::call(ShmEp ep, ppc::RegSet& regs, std::uint32_t token) {
   if (w == nullptr) return Status::kOutOfResources;
   w->reset();
 
-  // Producer side of the lane ring: the MPSC claim protocol of the
-  // in-process layer (one CAS on the cursor, one release publish of the
-  // cell), kept even though a lane has a single producer — it costs one
-  // uncontended CAS and keeps the two implementations line-for-line
-  // comparable.
-  constexpr std::uint64_t kMask = kShmRingCapacity - 1;
-  std::uint64_t pos = lane_->enqueue_pos.load(std::memory_order_relaxed);
-  ShmCell* cell;
-  for (;;) {
-    cell = &ring_[pos & kMask];
-    const std::uint64_t seq = cell->seq.load(std::memory_order_acquire);
-    if (seq == pos) {
-      if (lane_->enqueue_pos.compare_exchange_weak(
-              pos, pos + 1, std::memory_order_relaxed)) {
-        break;
-      }
-    } else if (seq < pos) {
-      release_wait(w);
-      return Status::kOverloaded;  // lane ring full
-    } else {
-      pos = lane_->enqueue_pos.load(std::memory_order_relaxed);
-    }
+  // Producer side of the lane ring: the in-process claim/publish
+  // (rt::CellRing::post), MPSC-safe even though a lane has one producer.
+  const std::uint64_t wait_off = seg_.offset_of(w);
+  if (lane_->ring.post(1, [&](ShmCell& cell, std::size_t) {
+        cell.ep = rt::cell_pack_ep(ep, token & rt::kCellTokenLaneMask, false);
+        cell.caller = static_cast<std::uint32_t>(program_);
+        cell.wait_off = wait_off;
+        cell.aux = 0;
+        cell.regs = regs;
+      }) == 0) {
+    release_wait(w);
+    return Status::kOverloaded;  // lane ring full
   }
-  cell->ep = rt::cell_pack_ep(ep, token & rt::kCellTokenLaneMask, false);
-  cell->caller = static_cast<std::uint32_t>(program_);
-  cell->wait_off = seg_.offset_of(w);
-  cell->aux = 0;
-  cell->regs = regs;
-  cell->seq.store(pos + 1, std::memory_order_release);
 
   // Every call refreshes liveness; long waits below refresh it again so
   // a caller stuck behind a slow handler is not declared dead.

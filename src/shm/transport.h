@@ -3,8 +3,9 @@
 //
 // One Server process creates the segment (shm/layout.h) and polls it; up
 // to kMaxShmPeers Peer processes attach, each claiming a private lane —
-// a Vyukov cell ring plus a wait-block pool, all segment-resident, all
-// offset-linked. A warm call is:
+// an rt::CellRing of ShmCells (the in-process ring template) plus a
+// wait-block pool, all segment-resident, all offset-linked. A warm call
+// is:
 //
 //   peer:   pop a wait block off the lane free list (plain loads/stores,
 //           peer-private), reset it, claim+publish one ring cell (one CAS
@@ -218,9 +219,7 @@ class Peer {
   ProgramId program_ = 0;
   std::uint32_t idx_ = 0;       // claimed PeerSlot / lane index
   std::uint32_t generation_ = 0;
-  LaneHeader* lane_ = nullptr;  // process-local pointers resolved once
-  ShmCell* ring_ = nullptr;
-  ShmWait* waits_ = nullptr;
+  LaneHeader* lane_ = nullptr;  // process-local pointer resolved once
   std::array<Segment, kMaxShmRegions> regions_{};  // this peer's grants
 };
 

@@ -69,7 +69,9 @@ TEST(FrameCell, FrameInlinesInOneCellAndRoundTrips) {
   for (std::size_t i = 0; i < kPpcWords; ++i) {
     f.w[i] = static_cast<Word>(1000 + i);
   }
-  ASSERT_TRUE(ring.try_post_frame(/*caller=*/3, f, nullptr));
+  ASSERT_EQ(ring.post(1, [&](XcallCell& c, std::size_t) {
+    encode_frame(c, /*caller=*/3, f, nullptr, nullptr);
+  }), 1u);
   std::size_t seen = 0;
   ring.drain([&](XcallCell& c) {
     ASSERT_TRUE(cell_is_frame(c));
@@ -83,7 +85,9 @@ TEST(FrameCell, FrameInlinesInOneCellAndRoundTrips) {
 
 TEST(FrameCell, LegacyCellsAreNotFrames) {
   XcallRing ring;
-  ASSERT_TRUE(ring.try_post(1, /*ep=*/9, ppc::RegSet{}, nullptr));
+  ASSERT_EQ(ring.post(1, [](XcallCell& c, std::size_t) {
+    encode_call(c, 1, /*ep=*/9, ppc::RegSet{}, nullptr, 0, nullptr);
+  }), 1u);
   ring.drain([&](XcallCell& c) { EXPECT_FALSE(cell_is_frame(c)); });
 }
 

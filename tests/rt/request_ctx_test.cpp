@@ -10,6 +10,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <optional>
 #include <span>
 #include <thread>
@@ -612,6 +613,76 @@ TEST(FrameLane, AmbientContextGuardsAdmission) {
   f = make_frame(fid, 1);
   EXPECT_EQ(rt.call_remote_frame(me, 1, 700, f), Status::kOk);
   EXPECT_EQ(executed.load(), 1);
+
+  // Every lane refuses at admission the same way, booking one count per
+  // refused call: an expired budget, a cancelled token, and a shed (the
+  // target's queue is at the watermark: one cell parked in a held slot).
+  const EntryPointId ep = bind_adder(rt);
+  HeldSlot server(rt);
+  const SlotId tgt = server.slot();
+  ASSERT_EQ(rt.call_remote_async(me, tgt, 700, ep, make_regs(0)), Status::kOk);
+  struct LaneCase {
+    const char* name;
+    std::uint64_t calls;
+    std::function<Status(Status)> call;  // runs the lane, checks every rc
+  };
+  const LaneCase lanes[] = {
+      {"call_remote", 1,
+       [&](Status want) {
+         ppc::RegSet r = make_regs(1);
+         const Status s = rt.call_remote(me, tgt, 700, ep, r);
+         EXPECT_EQ(ppc::rc_of(r), want);
+         return s;
+       }},
+      {"call_remote_batch", 3,
+       [&](Status want) {
+         std::array<ppc::RegSet, 3> regs{};
+         const Status s = rt.call_remote_batch(me, tgt, 700, ep, regs);
+         for (const ppc::RegSet& r : regs) EXPECT_EQ(ppc::rc_of(r), want);
+         return s;
+       }},
+      {"call_remote_async", 1,
+       [&](Status) {
+         return rt.call_remote_async(me, tgt, 700, ep, make_regs(1));
+       }},
+      {"call_remote_frame", 1,
+       [&](Status want) {
+         CallFrame g = make_frame(fid, 1);
+         const Status s = rt.call_remote_frame(me, tgt, 700, g);
+         EXPECT_EQ(frame_rc_of(g.op), want);
+         return s;
+       }},
+      {"call_remote_frame_batch", 3,
+       [&](Status want) {
+         std::array<CallFrame, 3> frames = {
+             make_frame(fid, 1), make_frame(fid, 1), make_frame(fid, 1)};
+         const Status s = rt.call_remote_frame_batch(me, tgt, 700, frames);
+         for (const CallFrame& g : frames) EXPECT_EQ(frame_rc_of(g.op), want);
+         return s;
+       }},
+  };
+  const std::pair<Status, Counter> refusals[] = {
+      {Status::kDeadlineExceeded, Counter::kDeadlineExceeded},
+      {Status::kCallAborted, Counter::kCallsCancelled},
+      {Status::kOverloaded, Counter::kCallsShed},
+  };
+  for (const auto& [want, counter] : refusals) {
+    RequestCtx ctx;
+    if (want == Status::kDeadlineExceeded) ctx.abs_deadline_cycles = 1;
+    if (want == Status::kCallAborted) ctx.cancel_token = token;
+    rt.set_request_ctx(me, ctx);
+    rt.set_shed_watermark(want == Status::kOverloaded ? 1 : 0);
+    for (const LaneCase& lane : lanes) {
+      SCOPED_TRACE(lane.name);
+      const std::uint64_t before = rt.counters(me).get(counter);
+      EXPECT_EQ(lane.call(want), want);
+      EXPECT_EQ(rt.counters(me).get(counter) - before, lane.calls);
+    }
+  }
+  EXPECT_EQ(executed.load(), 1);
+  rt.set_shed_watermark(0);
+  rt.clear_request_ctx(me);
+  server.release_and_join();
   rt.shutdown();
 }
 

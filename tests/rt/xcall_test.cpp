@@ -15,6 +15,7 @@
 #include "fault/failpoints.h"
 #include "ppc/regs.h"
 #include "rt/runtime.h"
+#include "shm/layout.h"
 
 namespace hppc::rt {
 namespace {
@@ -29,10 +30,35 @@ ppc::RegSet make_regs(Word w0) {
 // XcallRing
 // ---------------------------------------------------------------------------
 
+// Post `n` cells carrying (caller, ep, regs[i]) — the fields every cell
+// type shares — through the ring's one claim/publish.
+template <typename Ring>
+std::size_t post_many(Ring& ring, ProgramId caller, EntryPointId ep,
+                      const ppc::RegSet* regs, std::size_t n) {
+  return ring.post(n, [&](auto& c, std::size_t i) {
+    c.caller = caller;
+    c.ep = ep;
+    c.regs = regs[i];
+  });
+}
+
+template <typename Ring>
+bool post_one(Ring& ring, ProgramId caller, EntryPointId ep,
+              const ppc::RegSet& regs) {
+  return post_many(ring, caller, ep, &regs, 1) == 1;
+}
+
+// The ring-protocol tests run over both CellRing instantiations: the
+// in-process channel and the shm lane ring.
+template <typename Ring>
+class RingProtocol : public ::testing::Test {};
+using RingTypes = ::testing::Types<XcallRing, shm::ShmRing>;
+TYPED_TEST_SUITE(RingProtocol, RingTypes);
+
 TEST(XcallRing, PostDrainRoundTrip) {
   XcallRing ring;
   EXPECT_FALSE(ring.has_pending());
-  ASSERT_TRUE(ring.try_post(/*caller=*/7, /*ep=*/9, make_regs(41), nullptr));
+  ASSERT_TRUE(post_one(ring, /*caller=*/7, /*ep=*/9, make_regs(41)));
   EXPECT_TRUE(ring.has_pending());
   std::size_t seen = 0;
   const std::size_t n = ring.drain([&](XcallCell& c) {
@@ -50,32 +76,32 @@ TEST(XcallRing, PostDrainRoundTrip) {
 TEST(XcallRing, FifoOrderWithinABatch) {
   XcallRing ring;
   for (Word i = 0; i < 10; ++i) {
-    ASSERT_TRUE(ring.try_post(1, 1, make_regs(i), nullptr));
+    ASSERT_TRUE(post_one(ring, 1, 1, make_regs(i)));
   }
   Word expect = 0;
   ring.drain([&](XcallCell& c) { EXPECT_EQ(c.regs[0], expect++); });
   EXPECT_EQ(expect, 10u);
 }
 
-TEST(XcallRing, FullRingRejectsWithoutBlocking) {
-  XcallRing ring;
-  for (std::size_t i = 0; i < XcallRing::kCapacity; ++i) {
-    ASSERT_TRUE(ring.try_post(1, 1, make_regs(i), nullptr)) << i;
+TYPED_TEST(RingProtocol, FullRingRejectsWithoutBlocking) {
+  TypeParam ring;
+  for (std::size_t i = 0; i < TypeParam::kCapacity; ++i) {
+    ASSERT_TRUE(post_one(ring, 1, 1, make_regs(i))) << i;
   }
-  EXPECT_FALSE(ring.try_post(1, 1, make_regs(999), nullptr));
+  EXPECT_FALSE(post_one(ring, 1, 1, make_regs(999)));
   // One batch retires everything; capacity is available again.
-  EXPECT_EQ(ring.drain([](XcallCell&) {}), XcallRing::kCapacity);
-  EXPECT_TRUE(ring.try_post(1, 1, make_regs(0), nullptr));
+  EXPECT_EQ(ring.drain([](auto&) {}), TypeParam::kCapacity);
+  EXPECT_TRUE(post_one(ring, 1, 1, make_regs(0)));
 }
 
-TEST(XcallRing, WrapsAcrossManyGenerations) {
-  XcallRing ring;
+TYPED_TEST(RingProtocol, WrapsAcrossManyGenerations) {
+  TypeParam ring;
   Word next = 0;
   for (int round = 0; round < 300; ++round) {
     for (Word i = 0; i < 7; ++i) {
-      ASSERT_TRUE(ring.try_post(1, 1, make_regs(next + i), nullptr));
+      ASSERT_TRUE(post_one(ring, 1, 1, make_regs(next + i)));
     }
-    ring.drain([&](XcallCell& c) { EXPECT_EQ(c.regs[0], next++); });
+    ring.drain([&](auto& c) { EXPECT_EQ(c.regs[0], next++); });
   }
   EXPECT_EQ(next, 2100u);
 }
@@ -89,8 +115,7 @@ TEST(XcallRing, ConcurrentProducersKeepPerProducerFifo) {
     producers.emplace_back([&, p] {
       for (Word i = 0; i < kPerProducer; ++i) {
         // Encode (producer, index); spin until the bounded ring has room.
-        while (!ring.try_post(static_cast<ProgramId>(p), 1, make_regs(i),
-                              nullptr)) {
+        while (!post_one(ring, static_cast<ProgramId>(p), 1, make_regs(i))) {
           std::this_thread::yield();
         }
       }
@@ -544,15 +569,14 @@ TEST(CallRemote, ShedsAtWatermark) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched submission: try_post_many at ring level, call_remote_batch above
+// Batched submission: multi-cell posts at ring level, call_remote_batch above
 // ---------------------------------------------------------------------------
 
 TEST(XcallRing, BatchPostPublishesContiguousRunInOrder) {
   XcallRing ring;
   std::array<ppc::RegSet, 10> regs{};
   for (Word i = 0; i < regs.size(); ++i) regs[i][0] = 100 + i;
-  ASSERT_EQ(ring.try_post_many(/*caller=*/3, /*ep=*/7, regs.data(),
-                               /*waits=*/nullptr, regs.size()),
+  ASSERT_EQ(post_many(ring, /*caller=*/3, /*ep=*/7, regs.data(), regs.size()),
             regs.size());
   Word expect = 100;
   const std::size_t n = ring.drain([&](XcallCell& c) {
@@ -565,45 +589,45 @@ TEST(XcallRing, BatchPostPublishesContiguousRunInOrder) {
   EXPECT_FALSE(ring.has_pending());
 }
 
-TEST(XcallRing, BatchSpansRingWrap) {
-  XcallRing ring;
+TYPED_TEST(RingProtocol, BatchSpansRingWrap) {
+  TypeParam ring;
   // Advance both cursors to 60 so a 16-cell batch claims [60, 76): the run
   // crosses the index wrap, where "contiguous" means contiguous positions,
   // not contiguous array slots.
   for (Word i = 0; i < 60; ++i) {
-    ASSERT_TRUE(ring.try_post(1, 1, make_regs(i), nullptr));
+    ASSERT_TRUE(post_one(ring, 1, 1, make_regs(i)));
   }
-  ring.drain([](XcallCell&) {});
+  ring.drain([](auto&) {});
   std::array<ppc::RegSet, 16> regs{};
   for (Word i = 0; i < regs.size(); ++i) regs[i][0] = i;
-  ASSERT_EQ(ring.try_post_many(1, 1, regs.data(), nullptr, regs.size()),
+  ASSERT_EQ(post_many(ring, 1, 1, regs.data(), regs.size()),
             regs.size());
   Word expect = 0;
-  EXPECT_EQ(ring.drain([&](XcallCell& c) { EXPECT_EQ(c.regs[0], expect++); }),
+  EXPECT_EQ(ring.drain([&](auto& c) { EXPECT_EQ(c.regs[0], expect++); }),
             regs.size());
   EXPECT_EQ(expect, 16u);
 }
 
-TEST(XcallRing, BatchClaimHalvesNearFullAndReturnsZeroWhenFull) {
-  XcallRing ring;
+TYPED_TEST(RingProtocol, BatchClaimHalvesNearFullAndReturnsZeroWhenFull) {
+  TypeParam ring;
   // 59 occupied, 5 free: a 16-run fails its last-cell check, so does 8;
   // 4 fits. The halving never claims cells it cannot publish.
   for (std::size_t i = 0; i < 59; ++i) {
-    ASSERT_TRUE(ring.try_post(1, 1, make_regs(i), nullptr));
+    ASSERT_TRUE(post_one(ring, 1, 1, make_regs(i)));
   }
   std::array<ppc::RegSet, 16> regs{};
-  EXPECT_EQ(ring.try_post_many(1, 1, regs.data(), nullptr, regs.size()), 4u);
-  EXPECT_EQ(ring.try_post_many(1, 1, regs.data(), nullptr, regs.size()), 1u);
-  EXPECT_EQ(ring.try_post_many(1, 1, regs.data(), nullptr, regs.size()), 0u);
-  EXPECT_EQ(ring.drain([](XcallCell&) {}), XcallRing::kCapacity);
+  EXPECT_EQ(post_many(ring, 1, 1, regs.data(), regs.size()), 4u);
+  EXPECT_EQ(post_many(ring, 1, 1, regs.data(), regs.size()), 1u);
+  EXPECT_EQ(post_many(ring, 1, 1, regs.data(), regs.size()), 0u);
+  EXPECT_EQ(ring.drain([](auto&) {}), TypeParam::kCapacity);
 }
 
-TEST(XcallRing, ConcurrentBatchAndSinglePostsKeepPerProducerFifo) {
+TYPED_TEST(RingProtocol, ConcurrentBatchAndSinglePostsKeepPerProducerFifo) {
   // Two vectored producers race two single-cell producers on one ring; the
   // consumer must still observe every producer's cells in that producer's
   // submission order (batch runs are claimed atomically, so a run can never
   // interleave with itself). TSan sweeps the relaxed-publish protocol here.
-  XcallRing ring;
+  TypeParam ring;
   constexpr Word kPerProducer = 4000;
   std::vector<std::thread> producers;
   for (int p = 0; p < 2; ++p) {  // batch producers
@@ -614,8 +638,8 @@ TEST(XcallRing, ConcurrentBatchAndSinglePostsKeepPerProducerFifo) {
         const std::size_t want =
             std::min<std::size_t>(regs.size(), kPerProducer - next);
         for (std::size_t i = 0; i < want; ++i) regs[i][0] = next + i;
-        const std::size_t posted = ring.try_post_many(
-            static_cast<ProgramId>(p), 1, regs.data(), nullptr, want);
+        const std::size_t posted = post_many(
+            ring, static_cast<ProgramId>(p), 1, regs.data(), want);
         next += posted;
         if (posted == 0) std::this_thread::yield();
       }
@@ -624,8 +648,7 @@ TEST(XcallRing, ConcurrentBatchAndSinglePostsKeepPerProducerFifo) {
   for (int p = 2; p < 4; ++p) {  // single-cell producers
     producers.emplace_back([&, p] {
       for (Word i = 0; i < kPerProducer; ++i) {
-        while (!ring.try_post(static_cast<ProgramId>(p), 1, make_regs(i),
-                              nullptr)) {
+        while (!post_one(ring, static_cast<ProgramId>(p), 1, make_regs(i))) {
           std::this_thread::yield();
         }
       }
@@ -634,7 +657,7 @@ TEST(XcallRing, ConcurrentBatchAndSinglePostsKeepPerProducerFifo) {
   std::array<Word, 4> next_from{};
   std::size_t total = 0;
   while (total < 4 * kPerProducer) {
-    const std::size_t n = ring.drain([&](XcallCell& c) {
+    const std::size_t n = ring.drain([&](auto& c) {
       ASSERT_LT(c.caller, 4u);
       EXPECT_EQ(c.regs[0], next_from[c.caller]++);
     });
@@ -790,6 +813,38 @@ TEST(CallRemoteBatch, DeadlineExpiresOnStuckOwnerAndBlocksAreReaped) {
   owner.release_and_join();
   EXPECT_EQ(rt.shutdown(), 4u);
   EXPECT_EQ(rt.shutdown(), 0u);  // idempotent
+}
+
+TEST(CallRemoteBatch, BackoffGivesUpOverloadedOnStuckOwner) {
+  Runtime rt(2);
+  const SlotId me = rt.register_thread();
+  const EntryPointId ep = bind_adder(rt);
+  StuckOwner owner(rt);
+  for (std::size_t i = 0; i < XcallRing::kCapacity; ++i) {
+    ASSERT_EQ(rt.call_remote_async(me, 1, 1, ep, make_regs(i)), Status::kOk);
+  }
+
+  // The ring is full and the owner never drains: bounded backoff must give
+  // up with kOverloaded long before the watchdog frees the owner. (A batch
+  // that ignored the policy would block until the release, then pass.)
+  std::atomic<bool> released{false};
+  std::thread watchdog([&] {
+    std::this_thread::sleep_for(std::chrono::seconds(2));
+    released.store(true, std::memory_order_release);
+    owner.release_and_join();
+  });
+  CallOptions backoff;
+  backoff.retry = RetryPolicy::kBackoff;
+  backoff.backoff_rounds = 4;
+  std::array<RegSet, 4> batch{};
+  const Status s = rt.call_remote_batch(me, 1, 1, ep, batch, backoff);
+  const bool returned_before_release =
+      !released.load(std::memory_order_acquire);
+  watchdog.join();
+  EXPECT_EQ(s, Status::kOverloaded);
+  EXPECT_TRUE(returned_before_release);
+  for (const RegSet& r : batch) EXPECT_EQ(ppc::rc_of(r), Status::kOverloaded);
+  EXPECT_GT(rt.counters(me).get(obs::Counter::kBackoffCycles), 0u);
 }
 
 // ---------------------------------------------------------------------------

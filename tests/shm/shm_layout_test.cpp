@@ -70,12 +70,11 @@ TEST(ShmLayout, LanesStartEmptyWithFullWaitPools) {
 
   for (std::uint32_t p = 0; p < hdr->max_peers; ++p) {
     const LaneHeader& lane = lanes[p];
-    EXPECT_EQ(lane.enqueue_pos.load(), 0u);
-    EXPECT_EQ(lane.dequeue_pos.load(), 0u);
+    EXPECT_EQ(lane.ring.enqueue_pos(), 0u);
+    EXPECT_EQ(lane.ring.dequeue_pos(), 0u);
     // Vyukov initial state: cell i's seq is i ("free, claimable at pos i").
-    auto* ring = view.at<ShmCell>(lane.ring_off);
     for (std::uint64_t i = 0; i < hdr->ring_capacity; ++i) {
-      EXPECT_EQ(ring[i].seq.load(), i);
+      EXPECT_EQ(lane.ring.cell(i).seq.load(), i);
     }
     // The wait free list links every block exactly once.
     std::uint32_t len = 0;

@@ -271,7 +271,7 @@ TEST(ShmTransport, Kill9PeerIsReapedWithPoolConservation) {
   Segment& seg = server.segment();
   const auto* hdr = reinterpret_cast<const ShmHeader*>(seg.base());
   auto* lane = seg.at<LaneHeader>(hdr->lanes_off);  // child took lane 0
-  while (lane->enqueue_pos.load(std::memory_order_acquire) == 0) {
+  while (lane->ring.enqueue_pos() == 0) {
     std::this_thread::yield();
   }
   auto* regions = seg.at<RegionSlot>(hdr->regions_off);
@@ -285,9 +285,8 @@ TEST(ShmTransport, Kill9PeerIsReapedWithPoolConservation) {
 
   // Locate the in-flight call's wait block BEFORE the reap resets the
   // ring, so the kCallAborted completion can be asserted on it after.
-  auto* ring = seg.at<ShmCell>(lane->ring_off);
-  ASSERT_EQ(ring[0].seq.load(std::memory_order_acquire), 1u);
-  auto* wait = seg.at<ShmWait>(ring[0].wait_off);
+  ASSERT_EQ(lane->ring.cell(0).seq.load(std::memory_order_acquire), 1u);
+  auto* wait = seg.at<ShmWait>(lane->ring.cell(0).wait_off);
 
   // The heartbeat (refreshed at call time) must go stale first; 20ms is
   // comfortably past a few scheduler quanta, and pid_gone() (ESRCH after
@@ -310,8 +309,8 @@ TEST(ShmTransport, Kill9PeerIsReapedWithPoolConservation) {
     ASSERT_LE(len, kShmWaitsPerLane);
   }
   EXPECT_EQ(len, kShmWaitsPerLane);
-  EXPECT_EQ(lane->enqueue_pos.load(), 0u);
-  EXPECT_EQ(lane->dequeue_pos.load(), 0u);
+  EXPECT_EQ(lane->ring.enqueue_pos(), 0u);
+  EXPECT_EQ(lane->ring.dequeue_pos(), 0u);
   auto* peers = seg.at<PeerSlot>(hdr->peers_off);
   EXPECT_EQ(peers[0].state.load(), kPeerFree);
   EXPECT_EQ(regions[0].state.load(), kRegionFree);
