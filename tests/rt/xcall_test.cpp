@@ -608,8 +608,9 @@ TYPED_TEST(RingProtocol, BatchSpansRingWrap) {
   EXPECT_EQ(expect, 16u);
 }
 
-TYPED_TEST(RingProtocol, BatchClaimHalvesNearFullAndReturnsZeroWhenFull) {
-  TypeParam ring;
+template <typename Ring>
+void expect_batch_claim_halving() {
+  Ring ring;
   // 59 occupied, 5 free: a 16-run fails its last-cell check, so does 8;
   // 4 fits. The halving never claims cells it cannot publish.
   for (std::size_t i = 0; i < 59; ++i) {
@@ -619,7 +620,15 @@ TYPED_TEST(RingProtocol, BatchClaimHalvesNearFullAndReturnsZeroWhenFull) {
   EXPECT_EQ(post_many(ring, 1, 1, regs.data(), regs.size()), 4u);
   EXPECT_EQ(post_many(ring, 1, 1, regs.data(), regs.size()), 1u);
   EXPECT_EQ(post_many(ring, 1, 1, regs.data(), regs.size()), 0u);
-  EXPECT_EQ(ring.drain([](auto&) {}), TypeParam::kCapacity);
+  EXPECT_EQ(ring.drain([](auto&) {}), Ring::kCapacity);
+}
+
+TEST(XcallRing, BatchClaimHalvesNearFullAndReturnsZeroWhenFull) {
+  expect_batch_claim_halving<XcallRing>();
+}
+
+TEST(ShmRing, BatchClaimHalvesNearFullAndReturnsZeroWhenFull) {
+  expect_batch_claim_halving<shm::ShmRing>();
 }
 
 TYPED_TEST(RingProtocol, ConcurrentBatchAndSinglePostsKeepPerProducerFifo) {
