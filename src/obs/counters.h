@@ -69,7 +69,7 @@ enum class Counter : std::uint32_t {
   // -- xcall: bounded cross-slot call rings (appended: ids are contract) --
   kXcallPosts,          // cells published into another slot's ring
   kXcallBatches,        // non-empty ring drain batches
-  kXcallRingFull,       // posts that found the ring full (overflow path)
+  kXcallRingFull,       // posts that found the ring full (retry policy)
   kXcallDirect,         // remote calls direct-executed on an idle slot
   kMailboxAllocs,       // legacy mailbox node allocations (one per post)
 

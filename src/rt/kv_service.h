@@ -41,15 +41,12 @@ enum KvOp : Word {
 /// is clamped to this.
 inline constexpr std::size_t kKvHotSetCapacity = 8;
 
-/// Default chunk stride of the vectored stubs (multi_put / multi_get): one
-/// chunk = one stack RegSet array, one batched submission (one claim CAS +
-/// one doorbell). Overridable per instance via Config::multi_op_chunk.
-inline constexpr std::size_t kKvDefaultMultiOpChunk = 16;
-
-/// Upper bound on the chunk stride: the stack arrays the vectored stubs
-/// carry are sized to this at compile time, and a single batched submission
-/// cannot exceed one ring's capacity anyway.
-inline constexpr std::size_t kKvMaxMultiOpChunk = XcallRing::kCapacity;
+/// Chunk stride of the vectored stubs (multi_put / multi_get): one chunk =
+/// one stack RegSet array, one batched submission (one claim CAS + one
+/// doorbell).
+inline constexpr std::size_t kKvMultiOpChunk = 16;
+static_assert(kKvMultiOpChunk <= XcallRing::kCapacity,
+              "one chunk is one batched submission into one ring");
 
 struct KvServiceConfig {
   std::string name = "kv";
@@ -64,11 +61,6 @@ struct KvServiceConfig {
   /// simulated facility. Entries are admitted write-through on put while
   /// space remains. 0 disables; clamped to kKvHotSetCapacity.
   std::size_t replicated_hot_capacity = 0;
-  /// Chunk stride of the vectored stubs. Clamped to
-  /// [1, kKvMaxMultiOpChunk]; tune down when callers interleave latency-
-  /// sensitive singles with bursts, up (toward ring capacity) for pure
-  /// bulk-load throughput.
-  std::size_t multi_op_chunk = kKvDefaultMultiOpChunk;
 };
 
 class KvService {
@@ -78,8 +70,6 @@ class KvService {
   KvService(Runtime& rt, KvServiceConfig cfg = {})
       : rt_(rt),
         cfg_(std::move(cfg)),
-        chunk_(std::clamp<std::size_t>(cfg_.multi_op_chunk, 1,
-                                       kKvMaxMultiOpChunk)),
         shards_(rt.slots()) {
     for (auto& shard : shards_) {
       shard->entries.resize(cfg_.shard_capacity);
@@ -166,11 +156,6 @@ class KvService {
     return r[1];
   }
 
-  /// The effective chunk stride of the vectored stubs (config value after
-  /// clamping): one chunk = one stack RegSet array, one batched submission
-  /// (one claim CAS + one doorbell).
-  std::size_t multi_op_chunk() const { return chunk_; }
-
   /// Vectored write: store keys[i] → values[i] into `owner_slot`'s shard
   /// through call_remote_batch, so a burst of M puts pays ~M/chunk
   /// doorbells instead of M ring round trips. Zero heap allocations.
@@ -179,9 +164,9 @@ class KvService {
                    std::span<const Word> keys, std::span<const Word> values) {
     HPPC_ASSERT(keys.size() == values.size());
     Status overall = Status::kOk;
-    std::array<RegSet, kKvMaxMultiOpChunk> regs;
-    for (std::size_t pos = 0; pos < keys.size(); pos += chunk_) {
-      const std::size_t n = std::min(chunk_, keys.size() - pos);
+    std::array<RegSet, kKvMultiOpChunk> regs;
+    for (std::size_t pos = 0; pos < keys.size(); pos += kKvMultiOpChunk) {
+      const std::size_t n = std::min(kKvMultiOpChunk, keys.size() - pos);
       for (std::size_t k = 0; k < n; ++k) {
         regs[k] = RegSet{};
         regs[k][0] = keys[pos + k];
@@ -205,8 +190,8 @@ class KvService {
                         std::span<std::optional<Word>> out) {
     HPPC_ASSERT(out.size() >= keys.size());
     std::size_t hits = 0;
-    std::array<RegSet, kKvMaxMultiOpChunk> regs;
-    std::array<std::size_t, kKvMaxMultiOpChunk> origin;
+    std::array<RegSet, kKvMultiOpChunk> regs;
+    std::array<std::size_t, kKvMultiOpChunk> origin;
     std::size_t pending = 0;
     auto flush = [&] {
       if (pending == 0) return;
@@ -243,7 +228,7 @@ class KvService {
       regs[pending][0] = keys[idx];
       ppc::set_op(regs[pending], kKvGet);
       origin[pending] = idx;
-      if (++pending == chunk_) flush();
+      if (++pending == kKvMultiOpChunk) flush();
     }
     flush();
     return hits;
@@ -445,7 +430,6 @@ class KvService {
 
   Runtime& rt_;
   KvServiceConfig cfg_;
-  const std::size_t chunk_;  // clamped Config::multi_op_chunk
   std::vector<CacheAligned<Shard>> shards_;
   EntryPointId ep_ = kInvalidEntryPoint;
   std::uint32_t hot_cap_ = 0;

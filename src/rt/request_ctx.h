@@ -18,11 +18,12 @@
 //                        (server side), so an expired tree stops at the
 //                        next seam instead of executing late.
 //   cancel_token         index into the runtime's cancel-flag pool
-//                        (0 = not cancellable). Runtime::cancel(token)
-//                        raises the flag; every seam that checks the
-//                        deadline checks the flag too, completing with
-//                        kCallAborted. Long handlers poll cooperatively
-//                        via Runtime::cancellation_requested().
+//                        (CancelPool below; 0 = not cancellable).
+//                        Runtime::cancel(token) raises the flag; every
+//                        seam that checks the deadline checks the flag
+//                        too, completing with kCallAborted. Long handlers
+//                        poll cooperatively via
+//                        Runtime::cancellation_requested().
 //   traffic_class        kInteractive or kBulk. Admission control keeps a
 //                        watermark per class (bulk sheds first) and the
 //                        ready-mask drain scheduler serves interactive
@@ -39,6 +40,8 @@
 // two always-false compares per call.
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 
 namespace hppc::rt {
@@ -54,12 +57,56 @@ enum class TrafficClass : std::uint8_t {
 inline constexpr std::size_t kNumTrafficClasses = 2;
 
 /// Cancel-flag pool handle. 0 means "not cancellable"; nonzero tokens come
-/// from Runtime::cancel_token_create() and index (mod pool size) into the
-/// runtime's flag array. Tokens are generation-free: the pool is sized so
-/// reuse requires 2^14 intervening allocations, and a stale cancel on a
-/// recycled index is benign (the new request observes a spurious
-/// kCallAborted — the same contract as a lost admission race).
+/// from CancelPool::create() and index (mod pool size) into the pool's
+/// flag array. Tokens are generation-free: the pool is sized so reuse
+/// requires 2^14 intervening allocations, and a stale cancel on a recycled
+/// index is benign (the new request observes a spurious kCallAborted — the
+/// same contract as a lost admission race).
 using CancelToken = std::uint32_t;
+
+/// Size of a cancel-flag pool: everything a cell's 14-bit token lane can
+/// address (rt/xcall.h packs the index into the cell's ep word).
+inline constexpr std::uint32_t kMaxCancelTokens = 1u << 14;
+
+/// The cancel-flag pool as a view over caller-owned storage: a flag array
+/// of kMaxCancelTokens zero-initialised words and a shared allocation
+/// cursor (>= 1). It owns nothing, so the runtime holds one over its own
+/// storage and the shm transport builds one over segment-resident storage
+/// (shm::cancel_pool) — a token minted through either view of the same
+/// storage is honoured by every drain that reads it, in any process.
+class CancelPool {
+ public:
+  CancelPool(std::atomic<std::uint32_t>* flags,
+             std::atomic<std::uint32_t>* cursor)
+      : flags_(flags), cursor_(cursor) {}
+
+  /// Wait-free monotonic allocation (one fetch_add). Values whose index is
+  /// 0 are skipped — 0 in the cell's token lane means "not cancellable" —
+  /// and the flag the new token maps to is cleared.
+  CancelToken create() {
+    CancelToken t;
+    do {
+      t = cursor_->fetch_add(1, std::memory_order_relaxed);
+    } while ((t & kMask) == 0);
+    flags_[t & kMask].store(0, std::memory_order_relaxed);
+    return t;
+  }
+
+  /// Raise `t`'s flag (0 is never cancellable). Every seam that reads the
+  /// flag from here on refuses the token's calls with kCallAborted.
+  void cancel(CancelToken t) {
+    if (t != 0) flags_[t & kMask].store(1, std::memory_order_release);
+  }
+
+  bool requested(CancelToken t) const {
+    return t != 0 && flags_[t & kMask].load(std::memory_order_acquire) != 0;
+  }
+
+ private:
+  static constexpr std::uint32_t kMask = kMaxCancelTokens - 1;
+  std::atomic<std::uint32_t>* flags_;
+  std::atomic<std::uint32_t>* cursor_;
+};
 
 struct RequestCtx {
   std::uint64_t abs_deadline_cycles = 0;  // absolute host_cycles tick; 0=none

@@ -56,19 +56,6 @@ Runtime::Runtime(std::uint32_t slots, bool pin_threads)
     slot.rings = arena_.create_array<XcallRing>(slot.node, cap);
     slot.hists = arena_.create<obs::SlotHistograms>(slot.node);
   }
-  // The cancel-flag pool (value-initialized: every flag starts clear).
-  // Heap, not arena: it is runtime-wide, not per-slot, and cold until a
-  // cancel actually lands. adopt_cancel_pool() may later re-point the
-  // working pointers at segment-resident storage.
-  owned_cancel_flags_ =
-      std::make_unique<std::atomic<std::uint32_t>[]>(kMaxCancelTokens);
-  cancel_flags_ = owned_cancel_flags_.get();
-}
-
-void Runtime::adopt_cancel_pool(std::atomic<std::uint32_t>* flags,
-                                std::atomic<std::uint32_t>* next_token) {
-  cancel_flags_ = flags;
-  next_cancel_token_ = next_token;
 }
 
 Runtime::~Runtime() { shutdown(); }
@@ -348,7 +335,7 @@ Status Runtime::call_impl(SlotId slot_id, ProgramId caller, EntryPointId id,
     set_rc(regs, Status::kDeadlineExceeded);
     return Status::kDeadlineExceeded;
   }
-  if (req.cancel_token != 0 && cancel_requested(req.cancel_token)) {
+  if (cancel_pool_.requested(req.cancel_token)) {
     if constexpr (kLevel != ObsLevel::kStripped) {
       slot.counters.inc(obs::Counter::kCallsCancelled);
       HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot_id,
@@ -409,25 +396,13 @@ Status Runtime::call(SlotId slot_id, ProgramId caller, EntryPointId id,
                      RegSet& regs, const CallOptions& opts) {
   // A same-slot call executes inline on the calling thread, so the retry
   // knob has nothing to act on — but the deadline/cancel/class knobs do:
-  // they scope the ambient request context around the handler. The
-  // relative deadline folds into the inherited absolute budget (tighten,
-  // never extend — with_budget), nested calls the handler makes inherit
-  // the result, and call_impl's pre-execution screen enforces both the
-  // budget and the cancel flag.
+  // they scope the ambient request context around the handler. Nested
+  // calls the handler makes inherit the folded context, and call_impl's
+  // pre-execution screen enforces both the budget and the cancel flag.
   HPPC_ASSERT(slot_id < slots_.size());
   Slot& slot = *slots_[slot_id];
   const RequestCtx saved = slot.cur_req;
-  RequestCtx eff = saved;
-  eff.abs_deadline_cycles = opts.with_budget(saved.abs_deadline_cycles);
-  if (opts.cancel_token != 0) eff.cancel_token = opts.cancel_token;
-  if (opts.traffic_class == TrafficClass::kBulk) {
-    eff.traffic_class = TrafficClass::kBulk;
-  }
-  if (saved.abs_deadline_cycles != 0 &&
-      eff.abs_deadline_cycles == saved.abs_deadline_cycles) {
-    slot.counters.inc(obs::Counter::kDeadlineInherited);
-  }
-  slot.cur_req = eff;
+  slot.cur_req = fold_request(slot, opts, /*book=*/true);
   const Status rc = call_impl<ObsLevel::kFull>(slot_id, caller, id, regs);
   slot.cur_req = saved;
   return rc;
@@ -587,7 +562,7 @@ std::size_t Runtime::drain_ring(Slot& slot, XcallRing& ring) {
       // stays reclaimable; a parked caller is kicked as by a real result.
       const std::uint32_t tok = cell_token_idx(cell.ep);
       const bool expired = cell.deadline != 0 && host_cycles() >= cell.deadline;
-      if (expired || (tok != 0 && cancel_requested(tok))) {
+      if (expired || cancel_pool_.requested(tok)) {
         rc = expired ? Status::kDeadlineExceeded : Status::kCallAborted;
         set_rc(out, rc);
         slot.counters.inc(expired ? obs::Counter::kDeadlineExceeded
@@ -744,33 +719,13 @@ bool Runtime::help_drain(Slot& target, SlotId self) {
   return true;
 }
 
-CancelToken Runtime::cancel_token_create() {
-  // Wait-free monotonic allocation. Values whose pool-index lane is zero
-  // are skipped — 0 in the cell's token lane means "not cancellable", so
-  // no real token may alias it. The pool is generation-free: reuse needs
-  // kMaxCancelTokens intervening allocations, and a stale cancel on a
-  // recycled index is a benign spurious kCallAborted (see request_ctx.h).
-  std::uint32_t t;
-  do {
-    t = next_cancel_token_->fetch_add(1, std::memory_order_relaxed);
-  } while ((t & kCellTokenLaneMask) == 0);
-  cancel_flags_[t & kCellTokenLaneMask].store(0, std::memory_order_relaxed);
-  return t;
-}
-
-bool Runtime::cancel_requested(CancelToken token) const {
-  return token != 0 && cancel_flags_[token & kCellTokenLaneMask].load(
-                           std::memory_order_acquire) != 0;
-}
-
 void Runtime::cancel(CancelToken token) {
   if (token == 0) return;
   shared_.inc(obs::Counter::kCancelRequests);
   shared_.inc(obs::Counter::kSharedLinesTouched);
   // Raise the flag first: every seam (admission, drain, give-up loops,
   // cooperative handler polls) observes it from here on.
-  cancel_flags_[token & kCellTokenLaneMask].store(1,
-                                                  std::memory_order_release);
+  cancel_pool_.cancel(token);
   if (HPPC_FAULT_POINT("rt.cancel.sweep")) {
     // Delay seam between flag-raise and sweep: widens the window where a
     // cancelled cell is still in a ring, so the soak exercises the
@@ -793,7 +748,8 @@ void Runtime::cancel(CancelToken token) {
 bool Runtime::cancellation_requested(SlotId slot) const {
   HPPC_ASSERT(slot < slots_.size());
   const RequestCtx& req = slots_[slot]->cur_req;
-  return cancel_requested(req.cancel_token) || req.expired(host_cycles());
+  return cancel_pool_.requested(req.cancel_token) ||
+         req.expired(host_cycles());
 }
 
 void Runtime::set_request_ctx(SlotId slot, const RequestCtx& ctx) {
@@ -1035,25 +991,28 @@ void Runtime::record_rtt(Call& c, obs::Hist h, std::uint64_t dt) {
   if (c.bulk) c.me.hists->record(obs::Hist::kRttBulk, dt);
 }
 
-Status Runtime::admit(Call& c, const Lane& lane, std::size_t n) {
-  // Fold the per-call knobs into the ambient request the caller is already
-  // executing under: the relative deadline converts to an absolute budget
-  // exactly once (with_budget) and clamps against the inherited one —
-  // tighten, never extend — while the token and class default to the
-  // ambient values, so a context installed at the root rides every hop.
-  Slot& me = c.me;
+RequestCtx Runtime::fold_request(Slot& me, const CallOptions& opts,
+                                 bool book) {
   const RequestCtx& ambient = me.cur_req;
-  c.req = ambient;
-  c.req.abs_deadline_cycles = c.opts.with_budget(ambient.abs_deadline_cycles);
-  if (c.opts.cancel_token != 0) c.req.cancel_token = c.opts.cancel_token;
-  if (c.opts.traffic_class == TrafficClass::kBulk) {
-    c.req.traffic_class = TrafficClass::kBulk;
+  RequestCtx req = ambient;
+  req.abs_deadline_cycles = opts.with_budget(ambient.abs_deadline_cycles);
+  if (opts.cancel_token != 0) req.cancel_token = opts.cancel_token;
+  if (opts.traffic_class == TrafficClass::kBulk) {
+    req.traffic_class = TrafficClass::kBulk;
   }
-  c.bulk = c.req.traffic_class == TrafficClass::kBulk;
-  if (lane.ctx_in_cell && ambient.abs_deadline_cycles != 0 &&
-      c.req.abs_deadline_cycles == ambient.abs_deadline_cycles) {
+  if (book && ambient.abs_deadline_cycles != 0 &&
+      req.abs_deadline_cycles == ambient.abs_deadline_cycles) {
     me.counters.inc(obs::Counter::kDeadlineInherited);
   }
+  return req;
+}
+
+Status Runtime::admit(Call& c, const Lane& lane, std::size_t n) {
+  // A context installed at the root rides every hop: the call's effective
+  // request is the ambient one with this call's knobs folded in.
+  Slot& me = c.me;
+  c.req = fold_request(me, c.opts, lane.ctx_in_cell);
+  c.bulk = c.req.traffic_class == TrafficClass::kBulk;
 
   // Screen: a call whose budget is already spent — or whose root was
   // cancelled — never touches the target. Every refusal books one count
@@ -1062,7 +1021,7 @@ Status Runtime::admit(Call& c, const Lane& lane, std::size_t n) {
   Status s = Status::kOk;
   if (deadline != 0 && host_cycles() >= deadline) {
     s = Status::kDeadlineExceeded;
-  } else if (c.req.cancel_token != 0 && cancel_requested(c.req.cancel_token)) {
+  } else if (cancel_pool_.requested(c.req.cancel_token)) {
     s = Status::kCallAborted;
   }
   if (s != Status::kOk) {
@@ -1126,7 +1085,7 @@ std::size_t Runtime::post_cells(Call& c, RetryPolicy retry,
   // Fault seams: a delay before the publish (a producer preempted between
   // claim intent and post — for batches, consumers then observe a claimed-
   // but-unpublished run behind a published one), and a forced full ring so
-  // tests drive the overflow branch without 64 parked cells.
+  // tests drive the ring-full branch without 64 parked cells.
   if (HPPC_FAULT_POINT(K > 1 ? "rt.xcall.batch.post" : "rt.xcall.post")) {
     me.counters.inc(obs::Counter::kFaultsInjected);
     HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), c.src,
@@ -1168,8 +1127,7 @@ std::size_t Runtime::post_cells(Call& c, RetryPolicy retry,
       give_up = Status::kOverloaded;
     } else if (deadline != 0 && host_cycles() >= deadline) {
       give_up = Status::kDeadlineExceeded;
-    } else if (c.req.cancel_token != 0 &&
-               cancel_requested(c.req.cancel_token)) {
+    } else if (cancel_pool_.requested(c.req.cancel_token)) {
       give_up = Status::kCallAborted;
     }
     if (give_up != Status::kOk) {
@@ -1197,56 +1155,57 @@ void Runtime::collect(Call& c, Enc& enc, std::size_t i, std::size_t posted,
   // doorbells pending at the target mean our cells sit behind a queue
   // spanning several drain passes — park after one courtesy round instead
   // of churning the scheduler. Alone, keep the long ladder (the server is
-  // at most one pass away and a park would only add a wakeup). The
-  // "rt.xcall.park.now" seam collapses the yield phase so tests can drive
-  // the park/kick protocol deterministically.
-  int yield_rounds = (c.tgt.ready_mask.load(std::memory_order_relaxed) &
-                      ~doorbell_bit(c.src)) != 0
-                         ? kWaitYieldRoundsContended
-                         : kWaitYieldRounds;
-  if (deadline == 0 && HPPC_FAULT_POINT("rt.xcall.park.now")) {
+  // at most one pass away and a park would only add a wakeup). Deadline
+  // waiters never park. The "rt.xcall.park.now" seam sends the ladder
+  // straight to the park CAS — no spin window, no yield rounds — so tests
+  // drive the park/kick protocol deterministically.
+  WaitPacing pace{kWaitSpins,
+                  (c.tgt.ready_mask.load(std::memory_order_relaxed) &
+                   ~doorbell_bit(c.src)) != 0
+                      ? kWaitYieldRoundsContended
+                      : kWaitYieldRounds,
+                  deadline};
+  if (deadline != 0) {
+    pace.yield_rounds = kWaitNoPark;
+  } else if (HPPC_FAULT_POINT("rt.xcall.park.now")) {
     me.counters.inc(obs::Counter::kFaultsInjected);
-    yield_rounds = 0;
+    pace.spins = 0;
+    pace.yield_rounds = 0;
   }
   // The first waits dominate the wall time; later ones are usually
   // complete by the time we look.
   for (std::size_t k = 0; k < posted; ++k) {
     XcallWait& w = *waits[k];
-    Status s;
-    if (deadline == 0) {
-      std::uint64_t park_t = 0;  // stamped at park, read after the kick
-      s = wait_complete(w, yield_rounds, help, [&] {
-        me.counters.inc(obs::Counter::kWaiterParks);
-        park_t = host_cycles();
+    std::uint64_t park_t = 0;  // stamped at park, read after the kick
+    bool timed_out = false;
+    const Status s = wait_done(w, pace, help, [&] {
+      me.counters.inc(obs::Counter::kWaiterParks);
+      park_t = host_cycles();
+      HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), c.src,
+                       obs::TraceEvent::kWaiterPark, c.target);
+      // Delay seam inside the park decision (between the bookkeeping and
+      // the CAS): widens the park-vs-complete race for the chaos soak.
+      if (HPPC_FAULT_POINT("rt.xcall.park")) {
+        me.counters.inc(obs::Counter::kFaultsInjected);
         HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), c.src,
-                         obs::TraceEvent::kWaiterPark, c.target);
-        // Delay seam inside the park decision (between the bookkeeping and
-        // the CAS): widens the park-vs-complete race for the chaos soak.
-        if (HPPC_FAULT_POINT("rt.xcall.park")) {
-          me.counters.inc(obs::Counter::kFaultsInjected);
-          HPPC_TRACE_EVENT(me.trace_ring, obs::host_trace_now(), c.src,
-                           obs::TraceEvent::kFaultInject, c.target);
-        }
-      });
-      if (park_t != 0) {
-        me.hists->record(obs::Hist::kWakeup, host_cycles() - park_t);
+                         obs::TraceEvent::kFaultInject, c.target);
       }
-      enc.finish(i + k, &w.reply_target(), s);
+    }, &timed_out);
+    if (park_t != 0) {
+      me.hists->record(obs::Hist::kWakeup, host_cycles() - park_t);
+    }
+    if (timed_out) {
+      // Abandoned: the block stays on the zombie list until the server's
+      // drain acks it (or completes it — either sets kDoneBit).
+      w.next = me.wait_zombies;
+      me.wait_zombies = &w;
+      book_refused(c, s, 1);
+      enc.finish(i + k, nullptr, s);
     } else {
-      bool timed_out = false;
-      s = wait_complete_deadline(
-          w, deadline, [] { return host_cycles(); }, help, &timed_out);
-      if (timed_out) {
-        // Abandoned: the block stays on the zombie list until the server's
-        // drain acks it (or completes it — either sets kDoneBit).
-        w.next = me.wait_zombies;
-        me.wait_zombies = &w;
-        book_refused(c, s, 1);
-        enc.finish(i + k, nullptr, s);
-      } else {
-        enc.finish(i + k, &w.reply, s);  // copy out of the pooled block
-        release_wait(me, &w);
-      }
+      // Stack blocks replied in place; pooled (deadline) blocks are copied
+      // out of their inline buffer and recycled.
+      enc.finish(i + k, &w.reply_target(), s);
+      if (deadline != 0) release_wait(me, &w);
     }
     if (c.overall == Status::kOk) c.overall = s;
   }
@@ -1442,45 +1401,21 @@ Status Runtime::call_remote_async(SlotId caller_slot, SlotId target,
   // the clamped budget, the token and the class in its cell. With no
   // waiter to rescue it, expiry is enforced by the DRAIN — a cell reached
   // late is dropped (deadline_exceeded on the target), not executed late.
+  // A full ring is the retry policy's, exactly as on the sync lanes.
   Call c{*slots_[caller_slot], *slots_[target], caller_slot, target, opts};
   if (const Status s = admit(c, TypedCalls<1>::kLane, 1); s != Status::kOk) {
     return s;
   }
-  // One post attempt: nobody waits for space to open up.
-  Status full = Status::kOk;
-  if (post_cells<1>(
-          c, RetryPolicy::kFailFast, 1, 1,
-          [&](XcallCell& cell, std::size_t) {
-            encode_call(cell, caller,
-                        cell_pack_ep(id, c.req.cancel_token, c.bulk), regs,
-                        /*wait=*/nullptr, c.req.abs_deadline_cycles,
-                        &c.post_ctx);
-          },
-          full) != 0) {
-    return Status::kOk;
-  }
-  if (opts.retry == RetryPolicy::kFailFast) return Status::kOverloaded;
-  // Overflow: this rare case rides the legacy allocating mailbox (and is
-  // booked as such). The context still holds — the drain lambda re-checks
-  // it before executing, exactly like a drained cell.
-  post(target, [this, target, caller, id, regs, req = c.req]() mutable {
-    Slot& slot = *slots_[target];
-    const bool expired = req.expired(host_cycles());
-    if (expired || cancel_requested(req.cancel_token)) {
-      slot.counters.inc(expired ? obs::Counter::kDeadlineExceeded
-                                : obs::Counter::kCallsCancelled);
-      HPPC_TRACE_EVENT(slot.trace_ring, obs::host_trace_now(), slot.self_id,
-                       expired ? obs::TraceEvent::kDeadlineExceeded
-                               : obs::TraceEvent::kCallCancelled,
-                       id);
-      return;
-    }
-    const RequestCtx saved_req = slot.cur_req;
-    slot.cur_req = req;
-    execute_remote(slot, caller, id, regs);
-    slot.cur_req = saved_req;
-  });
-  return Status::kOk;
+  Status give_up = Status::kOk;
+  post_cells<1>(
+      c, opts.retry, 1, 1,
+      [&](XcallCell& cell, std::size_t) {
+        encode_call(cell, caller, cell_pack_ep(id, c.req.cancel_token, c.bulk),
+                    regs, /*wait=*/nullptr, c.req.abs_deadline_cycles,
+                    &c.post_ctx);
+      },
+      give_up);
+  return give_up;
 }
 
 void Runtime::enter_idle(SlotId slot_id) {
@@ -1591,17 +1526,6 @@ void Runtime::post(SlotId target, std::function<void()> fn) {
   shared_.inc(obs::Counter::kMailboxAllocs);
   shared_.inc(obs::Counter::kSharedLinesTouched);
   slots_[target]->mailbox.post(std::move(fn));
-}
-
-Runtime::SlotStats Runtime::stats(SlotId slot) const {
-  HPPC_ASSERT(slot < slots_.size());
-  const obs::SlotCounters& c = slots_[slot]->counters;
-  SlotStats s;
-  s.calls = c.get(obs::Counter::kCallsSync);
-  s.async_calls = c.get(obs::Counter::kCallsAsync);
-  s.worker_creations = c.get(obs::Counter::kWorkersCreated);
-  s.cd_creations = c.get(obs::Counter::kCdsCreated);
-  return s;
 }
 
 const obs::SlotCounters& Runtime::counters(SlotId slot) const {

@@ -18,11 +18,11 @@
 // variants on one piece of machinery: admission (fold and screen the
 // request context, shed), direct execution on an idle target under a
 // SlotGate steal (LRPC-style ownership handoff), a post with the retry
-// policy, and collection of the completion words (spin→yield→park). The
-// legacy allocating mailbox survives only as the control-plane/overflow
-// channel (kill reclamation, ring-full async posts). A warm cross-slot
-// call performs zero heap allocations, asserted by the mailbox_allocs
-// counter. See docs/XCALL.md, "The call pipeline".
+// policy, and collection of the completion words (the one spin→help→
+// yield→park ladder, rt/xcall.h). The legacy allocating mailbox survives
+// only as the control plane (hard-kill reclamation, post()). A warm
+// cross-slot call performs zero heap allocations, asserted by the
+// mailbox_allocs counter. See docs/XCALL.md, "The call pipeline".
 #pragma once
 
 #include <array>
@@ -142,7 +142,7 @@ struct CallOptions {
   /// shed first when the target saturates (the bulk shed watermark) and
   /// drained after interactive doorbells.
   TrafficClass traffic_class = TrafficClass::kInteractive;
-  /// Cancel handle from Runtime::cancel_token_create(); 0 = not
+  /// Cancel handle from Runtime::cancel_pool().create(); 0 = not
   /// cancellable. A cancelled call — and every nested call it makes —
   /// completes with kCallAborted at the next seam.
   CancelToken cancel_token = 0;
@@ -319,18 +319,19 @@ class Runtime {
                            ProgramId caller, EntryPointId id,
                            std::span<RegSet> batch, const CallOptions& opts);
 
-  /// Fire-and-forget cross-slot call: posted into the target's ring (or,
-  /// if the ring is full, the legacy mailbox — the allocating overflow
-  /// path) and executed at the target's next drain. Results discarded.
+  /// Fire-and-forget cross-slot call: posted into the target's ring and
+  /// executed at the target's next drain. Results discarded. A full ring
+  /// is handled by the retry policy exactly as for the sync lanes (the
+  /// default kBlock helps or yields until the cell lands).
   Status call_remote_async(SlotId caller_slot, SlotId target,
                            ProgramId caller, EntryPointId id, RegSet regs);
 
-  /// call_remote_async with options. Only the deadline acts here: it is
-  /// carried in the posted cell (and checked by the mailbox overflow
-  /// lambda), and a cell that drains after its deadline is dropped —
-  /// counted as deadline_exceeded on the target slot — instead of being
-  /// executed late. kFailFast additionally turns the ring-full overflow
-  /// into an immediate kOverloaded instead of an allocating mailbox post.
+  /// call_remote_async with options. The request context rides the cell:
+  /// a cell that drains after its deadline (or after its token was
+  /// cancelled) is dropped — counted on the target slot — instead of being
+  /// executed late. The retry policy governs a full ring: kBlock retries
+  /// until the cell lands or the budget or token gives up, kBackoff and
+  /// kFailFast give up with kOverloaded.
   Status call_remote_async(SlotId caller_slot, SlotId target,
                            ProgramId caller, EntryPointId id, RegSet regs,
                            const CallOptions& opts);
@@ -467,12 +468,14 @@ class Runtime {
   // cancel flag (kCallAborted), so an expired or cancelled root request
   // stops its whole tree at the next seam instead of executing late.
 
-  /// Allocate a cancel token. Tokens are handles into a fixed pool of
-  /// kMaxCancelTokens flags; allocation is wait-free (one fetch_add) and
-  /// clears the slot it maps to, so reuse after 2^14 intervening
-  /// allocations is benign-stale (documented in rt/request_ctx.h). Safe
-  /// from any thread.
-  CancelToken cancel_token_create();
+  /// The runtime's cancel-flag pool (rt/request_ctx.h): create() mints a
+  /// token, requested() reads its flag. Safe from any thread. By default
+  /// it views storage the runtime owns; assigning a view of other storage
+  /// — shm::cancel_pool(segment) places it in a cross-process segment —
+  /// makes a peer's cancel visible to this runtime's drain through the
+  /// same one-load check. Re-point before any traffic (tokens minted from
+  /// the old pool do not transfer); the storage must outlive the Runtime.
+  CancelPool& cancel_pool() { return cancel_pool_; }
 
   /// Raise `token`'s cancel flag, then best-effort sweep: for every slot
   /// whose gate is idle, steal it and drain its rings so already-posted
@@ -482,22 +485,6 @@ class Runtime {
   /// kicked by that completion — the existing abandon/complete CAS
   /// protocol does all the lifetime work. Safe from any thread.
   void cancel(CancelToken token);
-
-  /// Has cancel() been called for this token? (0 is never cancelled.)
-  bool cancel_requested(CancelToken token) const;
-
-  /// Re-point the cancel pool at external storage: `flags` must be a
-  /// zero-initialised array of kMaxCancelTokens atomic words and
-  /// `next_token` a shared allocation cursor (>= 1). The intended caller
-  /// is the shm transport (src/shm/), which places both inside the
-  /// cross-process segment so a peer's cancel(token) raises a flag this
-  /// runtime's drain-side sweep reads directly — cancellation crosses the
-  /// process boundary through the same one-relaxed-load check the
-  /// in-process path uses. Call before any traffic (tokens minted from
-  /// the old pool do not transfer); the previously owned pool is retained
-  /// but unused. Storage must outlive this Runtime.
-  void adopt_cancel_pool(std::atomic<std::uint32_t>* flags,
-                         std::atomic<std::uint32_t>* next_token);
 
   /// Ambient probe: is the request `slot` is currently executing under
   /// cancelled or past its deadline? Handlers reach this through
@@ -558,15 +545,6 @@ class Runtime {
   obs::Telemetry telemetry();
 
   // ----- introspection -----
-
-  /// Legacy summary view, derived from the counter block below.
-  struct SlotStats {
-    std::uint64_t calls = 0;
-    std::uint64_t async_calls = 0;
-    std::uint64_t worker_creations = 0;
-    std::uint64_t cd_creations = 0;
-  };
-  SlotStats stats(SlotId slot) const;
 
   /// The slot's full observability block (single writer: the slot's own
   /// thread; read-only for observers).
@@ -774,6 +752,12 @@ class Runtime {
   /// the bit is already set (doorbell coalescing, booked as
   /// ready_mask_skips on `me`).
   void ring_doorbell(Slot& me, Slot& tgt, SlotId src, bool bulk = false);
+  /// Fold per-call options into the ambient request `me` executes under:
+  /// the relative deadline becomes an absolute budget once and clamps
+  /// against the inherited one (tighten, never extend); token and class
+  /// default to the ambient values. `book` counts deadline_inherited when
+  /// the ambient budget binds. Shared by same-slot call() and admit().
+  RequestCtx fold_request(Slot& me, const CallOptions& opts, bool book);
   /// Racy any-ring-pending scan, for serve()'s periodic idle recheck.
   bool any_ring_pending(const Slot& slot) const;
   /// Waiter-side progress: if `target`'s gate is idle, steal it, drain its
@@ -889,17 +873,14 @@ class Runtime {
   // Per-class admission watermarks (0 = shedding disabled for the class).
   std::array<std::atomic<std::uint32_t>, kNumTrafficClasses>
       shed_watermark_{};
-  // The cancel-flag pool: token t maps to cancel_flags_[t % kMaxCancel-
-  // Tokens]. Fixed-size so a token index fits the cell ep lane and lookup
-  // is one relaxed load with no lifetime question. By default the pool is
-  // process-private (owned_cancel_* below, allocated zeroed at
-  // construction); adopt_cancel_pool() re-points both the flag array and
-  // the allocation cursor at segment-resident storage so cancellation is
-  // visible across processes. next_cancel_token never hands out index 0.
-  std::unique_ptr<std::atomic<std::uint32_t>[]> owned_cancel_flags_;
-  std::atomic<std::uint32_t> owned_next_cancel_token_{1};
-  std::atomic<std::uint32_t>* cancel_flags_ = nullptr;
-  std::atomic<std::uint32_t>* next_cancel_token_ = &owned_next_cancel_token_;
+  // The cancel-flag pool's own storage (value-initialized: every flag
+  // starts clear) and the view every seam reads, which cancel_pool() may
+  // re-point at segment-resident storage. Heap, not arena: it is
+  // runtime-wide, not per-slot, and cold until a cancel lands.
+  std::unique_ptr<std::atomic<std::uint32_t>[]> cancel_flags_ =
+      std::make_unique<std::atomic<std::uint32_t>[]>(kMaxCancelTokens);
+  std::atomic<std::uint32_t> cancel_cursor_{1};
+  CancelPool cancel_pool_{cancel_flags_.get(), &cancel_cursor_};
   TelemetryState telemetry_;
   EntryPointId next_ep_ = 8;
 };

@@ -40,11 +40,12 @@
 //   DoneWord   — the completion state machine shared by the in-process
 //                XcallWait and the cross-process shm::ShmWait: one atomic
 //                word (0 while pending, 0x100|Status when done) with the
-//                abandon / ack / park transitions. In process it is waited
-//                on with an adaptive spin→yield→park ladder (wait_complete
-//                below): a waiter that exhausts its yield budget parks on
-//                the word (C++20 atomic wait); the completing server's
-//                exchange sees the parked bit and kicks it with one notify.
+//                abandon / ack / park transitions, waited on by one
+//                spin→help→yield→park ladder (wait_done below) in both
+//                transports: an in-process waiter that exhausts its yield
+//                budget parks on the word (C++20 atomic wait) and the
+//                completing server's exchange kicks it with one notify;
+//                deadline and cross-process waiters run it with parking off.
 //
 // A warm cross-slot call — direct or ring, single or batched — performs
 // ZERO heap allocations; the `mailbox_allocs` counter exists to assert
@@ -60,10 +61,12 @@
 #include "common/cacheline.h"
 #include "common/cpu_relax.h"
 #include "common/status.h"
+#include "common/tsc.h"
 #include "common/types.h"
 #include "obs/trace.h"
 #include "ppc/regs.h"
 #include "rt/frame_abi.h"
+#include "rt/request_ctx.h"
 
 namespace hppc::rt {
 
@@ -240,13 +243,8 @@ inline CallFrame cell_frame(const XcallCell& cell) {
 /// static_assert below keeps the packing honest if that ever grows.
 inline constexpr EntryPointId kCellBulkBit = 0x40000000u;
 inline constexpr unsigned kCellTokenShift = 16;
-inline constexpr EntryPointId kCellTokenLaneMask = 0x3FFFu;  // 14 bits
+inline constexpr EntryPointId kCellTokenLaneMask = kMaxCancelTokens - 1;
 inline constexpr EntryPointId kCellEpMask = 0xFFFFu;
-
-/// Size of the runtime's cancel-flag pool: everything a cell's token lane
-/// can address. Tokens allocate monotonically and index mod this, so a
-/// stale cancel needs 2^14 intervening allocations to alias.
-inline constexpr std::uint32_t kMaxCancelTokens = kCellTokenLaneMask + 1;
 
 static_assert(kMaxEntryPoints <= kCellEpMask + 1,
               "entry-point ids must fit the cell ep lane");
@@ -480,6 +478,9 @@ class SlotGate {
   std::atomic<std::uint32_t> state_{kIdle};
 };
 
+/// Relax polls of the done word per ladder round.
+inline constexpr int kWaitSpins = 96;
+
 /// Yield rounds a no-deadline waiter burns (helping once per round) before
 /// it parks on the completion word. Each round is a spin window plus a
 /// help attempt, so by the time a waiter parks it has given the server a
@@ -495,97 +496,89 @@ inline constexpr int kWaitYieldRounds = 64;
 /// completing server's kick pay the single wakeup.
 inline constexpr int kWaitYieldRoundsContended = 1;
 
-/// Adaptive completion wait — the spin→yield→park ladder:
+/// `yield_rounds` for a waiter that must never park: deadline waiters
+/// (atomic wait has no timeout) and cross-process waiters (std::atomic::
+/// wait is a private futex, which does not cross address spaces).
+inline constexpr int kWaitNoPark = -1;
+
+/// How one waiter paces the ladder below.
+struct WaitPacing {
+  int spins = kWaitSpins;          // relax polls per round
+  int yield_rounds = kWaitNoPark;  // rounds before parking
+  std::uint64_t deadline = 0;      // host_cycles() tick; 0 = none
+};
+
+/// The one completion wait over a DoneWord — the spin→help→yield→park
+/// ladder every synchronous waiter runs, in process (Runtime::collect) and
+/// across processes (shm::Peer::call):
 ///
-///   spin   96 cpu_relax polls of the done word (the multi-core happy
+///   spin   `spins` cpu_relax polls of the done word (the multi-core happy
 ///          path, where the server replies within the spin window);
-///   yield  up to `yield_rounds` rounds of help() + sched yield, so a
-///          time-sliced server can run and an idle target can be drained
-///          by the waiter itself (`help` steals the gate and drains);
+///   abandon  with a deadline, once it has passed: the abandon CAS from 0.
+///          Won: the caller leaves with kDeadlineExceeded and
+///          `*timed_out == true` (the block stays in flight until the
+///          server acks). Lost: the server's result is already published,
+///          and the caller takes it rather than reporting a deadline it
+///          missed by nanoseconds;
+///   help   `help()` once per round — steal-and-drain an idle target in
+///          process, the liveness refresh across processes;
+///   yield  while `round < yield_rounds` (forever under kWaitNoPark), so a
+///          time-sliced server can run;
 ///   park   CAS the done word 0→kParkedBit and block in the C++20 atomic
 ///          wait until the server's completing exchange — which observes
 ///          the parked bit it replaced — kicks us with notify_one().
+///          `on_park` runs once, before blocking (counters/trace/faults).
 ///
-/// `on_park` runs once per park attempt, before blocking (counters/trace/
-/// failpoints). Deadline waiters must NOT use this path (atomic wait has
-/// no timeout); they stay on wait_complete_deadline's spin+yield loop.
-/// The park CAS is from 0 only, so a parker can never erase a completion
-/// or an abandonment; completion checks mask kDoneBit, so a stale parked
-/// bit observed after a spurious wake never reads as a result.
-template <typename Helper, typename OnPark>
-Status wait_complete(XcallWait& wait, int yield_rounds, Helper&& help,
-                     OnPark&& on_park) {
-  constexpr int kSpins = 96;
+/// Both CASes are from 0 only, so a waiter can never erase a completion;
+/// completion checks mask kDoneBit, so a stale parked bit observed after a
+/// spurious wake never reads as a result.
+template <typename Help, typename OnPark>
+Status wait_done(DoneWord& w, WaitPacing p, Help&& help, OnPark&& on_park,
+                 bool* timed_out) {
+  std::uint32_t v = 0;
+  const auto done = [&w, &v] {
+    v = w.done.load(std::memory_order_acquire);
+    return (v & DoneWord::kDoneBit) != 0;
+  };
+  *timed_out = false;
   for (int round = 0;; ++round) {
-    for (int i = 0; i < kSpins; ++i) {
-      const std::uint32_t v = wait.done.load(std::memory_order_acquire);
-      if ((v & XcallWait::kDoneBit) != 0) {
-        return static_cast<Status>(v & 0xFFu);
-      }
+    for (int i = 0; i < p.spins; ++i) {
+      if (done()) return static_cast<Status>(v & 0xFFu);
       cpu_relax();
     }
+    if (p.deadline != 0 && host_cycles() >= p.deadline) {
+      if (w.try_abandon()) {
+        *timed_out = true;
+        return Status::kDeadlineExceeded;
+      }
+      p.deadline = 0;  // lost to the server: its result is published
+    }
     help();
-    const std::uint32_t v = wait.done.load(std::memory_order_acquire);
-    if ((v & XcallWait::kDoneBit) != 0) return static_cast<Status>(v & 0xFFu);
-    if (round < yield_rounds) {
+    if (done()) return static_cast<Status>(v & 0xFFu);
+    if (p.yield_rounds == kWaitNoPark || round < p.yield_rounds) {
       std::this_thread::yield();
       continue;
     }
-    // Ladder exhausted: park. By now we have posted our cell and rung the
-    // doorbell, so the slot's current ownership holder (owner poll/serve,
-    // or a helping thief) is guaranteed to reach it and kick us.
+    // Ladder exhausted: park. By now the cell is posted and the doorbell
+    // rung, so the slot's current ownership holder (owner poll/serve, or a
+    // helping thief) is guaranteed to reach it and kick us.
     on_park();
     for (;;) {
-      std::uint32_t cur = wait.done.load(std::memory_order_acquire);
-      if ((cur & XcallWait::kDoneBit) != 0) {
+      std::uint32_t cur = w.done.load(std::memory_order_acquire);
+      if ((cur & DoneWord::kDoneBit) != 0) {
         return static_cast<Status>(cur & 0xFFu);
       }
       if (cur == 0 &&
-          !wait.done.compare_exchange_strong(cur, XcallWait::kParkedBit,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_acquire)) {
+          !w.done.compare_exchange_strong(cur, DoneWord::kParkedBit,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire)) {
         continue;  // completion raced in under us — re-examine
       }
       // Blocks while the word still reads kParkedBit; the server's
       // completing exchange changes it and notifies. Spurious wakes just
       // re-run the loop.
-      wait.done.wait(XcallWait::kParkedBit, std::memory_order_acquire);
+      w.done.wait(DoneWord::kParkedBit, std::memory_order_acquire);
     }
-  }
-}
-
-/// Deadline variant: the same spin-then-yield loop, but each yield round
-/// checks `now()` against `deadline` and, on expiry, tries to abandon the
-/// wait. Returns the completion status with `*timed_out == false`, or —
-/// when the abandon CAS wins — Status::kDeadlineExceeded with
-/// `*timed_out == true` (the caller must treat `wait` as in flight until
-/// the server acks). A completion that races the expiry wins: the caller
-/// takes the real result rather than reporting a deadline it missed by
-/// nanoseconds.
-template <typename Helper, typename Clock>
-Status wait_complete_deadline(XcallWait& wait, std::uint64_t deadline,
-                              Clock&& now, Helper&& help, bool* timed_out) {
-  constexpr int kSpins = 96;
-  *timed_out = false;
-  for (;;) {
-    for (int i = 0; i < kSpins; ++i) {
-      const std::uint32_t v = wait.done.load(std::memory_order_acquire);
-      if (v != 0) return static_cast<Status>(v & 0xFFu);
-      cpu_relax();
-    }
-    if (now() >= deadline) {
-      if (wait.try_abandon()) {
-        *timed_out = true;
-        return Status::kDeadlineExceeded;
-      }
-      // Lost to the server: the result is (or is about to be) published.
-      // Spin it out (never park — the completing exchange is imminent).
-      return wait_complete(wait, /*yield_rounds=*/1 << 20, help, [] {});
-    }
-    help();
-    const std::uint32_t v = wait.done.load(std::memory_order_acquire);
-    if (v != 0) return static_cast<Status>(v & 0xFFu);
-    std::this_thread::yield();
   }
 }
 

@@ -8,10 +8,10 @@
 // (rt::CellRing, here over ShmCell), laid out inside an shm_open/mmap
 // segment so a caller PROCESS and a server PROCESS exchange warm null PPCs
 // with zero locks and zero allocations. The wait block's done word is
-// rt::DoneWord, with one cross-process amendment: nobody ever parks.
-// std::atomic::wait lowers to FUTEX_WAIT_PRIVATE, which does not cross
-// address spaces, so shm waiters spin-then-sched_yield and kParkedBit is
-// never set on a segment word.
+// rt::DoneWord, waited on by the same ladder (rt::wait_done) with one
+// cross-process amendment: nobody ever parks. std::atomic::wait lowers to
+// FUTEX_WAIT_PRIVATE, which does not cross address spaces, so shm waiters
+// spin-then-sched_yield and kParkedBit is never set on a segment word.
 //
 // Creation protocol: the server process lays the segment out through a
 // segment-backed mem::Arena (mem/arena.h), records every offset in the
@@ -29,9 +29,10 @@
 //   * wait blocks        — the owning peer acquires/releases; the server
 //                          writes replies and the done word; the reaper
 //                          rebuilds the free list wholesale after a death;
-//   * cancel pool        — any process raises flags; the server's drain
-//                          sweep reads them (rt::Runtime::adopt_cancel_pool
-//                          points a runtime at this pool);
+//   * cancel pool        — any process raises flags through an
+//                          rt::CancelPool view (shm::cancel_pool); the
+//                          server's drain reads them, and so does any
+//                          runtime whose cancel_pool() is that view;
 //   * RegionSlot         — CAS-claimed by granting peers, invalidated by
 //                          revoke or by the reaper.
 #pragma once
@@ -190,10 +191,9 @@ struct ShmHeader {
   std::uint64_t regions_off = kNullOff;  // RegionSlot[max_regions]
   /// The segment-resident cancel pool: flags_off names
   /// atomic<u32>[rt::kMaxCancelTokens] and cursor_off the shared token
-  /// allocator — the storage rt::Runtime::adopt_cancel_pool() points a
-  /// runtime at, which is what makes cancel(token) cross the process
-  /// boundary (satellite of the transport: the server's drain-side sweep
-  /// reads the same flag the remote canceller raised).
+  /// allocator — the storage shm::cancel_pool() views, which is what makes
+  /// cancel(token) cross the process boundary (the server's drain reads
+  /// the same flag the remote canceller raised).
   std::uint64_t cancel_flags_off = kNullOff;
   std::uint64_t cancel_cursor_off = kNullOff;
 

@@ -14,9 +14,7 @@
 #include <thread>
 #endif
 
-#include "common/cpu_relax.h"
 #include "mem/arena.h"
-#include "rt/runtime.h"
 
 namespace hppc::shm {
 
@@ -60,16 +58,6 @@ bool pid_gone(std::uint32_t pid) {
 #endif
 }
 
-std::atomic<std::uint32_t>* cancel_flags_of(Segment& seg) {
-  const auto* hdr = reinterpret_cast<const ShmHeader*>(seg.base());
-  return seg.at<std::atomic<std::uint32_t>>(hdr->cancel_flags_off);
-}
-
-std::atomic<std::uint32_t>* cancel_cursor_of(Segment& seg) {
-  const auto* hdr = reinterpret_cast<const ShmHeader*>(seg.base());
-  return seg.at<std::atomic<std::uint32_t>>(hdr->cancel_cursor_off);
-}
-
 /// Link every wait block of `lane` into its free list, in index order:
 /// the full-length pool a fresh lane starts with and a reaped lane gets
 /// back. Relink only — done words are left as they are.
@@ -85,32 +73,10 @@ void relink_waits(Segment& seg, LaneHeader& lane) {
 
 }  // namespace
 
-// -- segment-resident cancel pool -------------------------------------------
-
-std::uint32_t shm_cancel_token_create(Segment& seg) {
-  // Same contract as Runtime::cancel_token_create: never hand out a token
-  // whose pool index is 0 (0 in the cell lane means "not cancellable"),
-  // and clear the flag the new token maps to.
-  std::atomic<std::uint32_t>* cursor = cancel_cursor_of(seg);
-  std::uint32_t t;
-  do {
-    t = cursor->fetch_add(1, std::memory_order_relaxed);
-  } while ((t & rt::kCellTokenLaneMask) == 0);
-  cancel_flags_of(seg)[t & rt::kCellTokenLaneMask].store(
-      0, std::memory_order_relaxed);
-  return t;
-}
-
-void shm_cancel(Segment& seg, std::uint32_t token) {
-  if (token == 0) return;
-  cancel_flags_of(seg)[token & rt::kCellTokenLaneMask].store(
-      1, std::memory_order_release);
-}
-
-bool shm_cancel_requested(Segment& seg, std::uint32_t token) {
-  return token != 0 &&
-         cancel_flags_of(seg)[token & rt::kCellTokenLaneMask].load(
-             std::memory_order_acquire) != 0;
+rt::CancelPool cancel_pool(Segment& seg) {
+  const auto* hdr = reinterpret_cast<const ShmHeader*>(seg.base());
+  return {seg.at<std::atomic<std::uint32_t>>(hdr->cancel_flags_off),
+          seg.at<std::atomic<std::uint32_t>>(hdr->cancel_cursor_off)};
 }
 
 // -- Server -----------------------------------------------------------------
@@ -195,7 +161,7 @@ std::size_t Server::poll() {
 
 std::size_t Server::drain_lane(std::uint32_t peer_idx) {
   auto* lane = seg_.at<LaneHeader>(header()->lanes_off) + peer_idx;
-  auto* flags = cancel_flags_of(seg_);
+  const rt::CancelPool cancel = cancel_pool(seg_);
   const std::size_t n = lane->ring.drain([&](ShmCell& cell) {
     ShmWait* wait =
         cell.wait_off != kNullOff ? seg_.at<ShmWait>(cell.wait_off) : nullptr;
@@ -208,7 +174,7 @@ std::size_t Server::drain_lane(std::uint32_t peer_idx) {
       return;
     }
     Status rc = Status::kCallAborted;
-    if (token == 0 || flags[token].load(std::memory_order_acquire) == 0) {
+    if (!cancel.requested(token)) {
       // Not cancelled (the drain-side sweep: the same one-load check the
       // in-process drain performs, reading a flag ANY process may have
       // raised). Execute straight into the wait block's reply RegSet: the
@@ -334,10 +300,6 @@ bool Server::stop_requested() const {
   return header()->stop.load(std::memory_order_acquire) != 0;
 }
 
-void Server::adopt_cancel_pool_into(rt::Runtime& rt) {
-  rt.adopt_cancel_pool(cancel_flags_of(seg_), cancel_cursor_of(seg_));
-}
-
 std::uint32_t Server::attached_peers() const {
   const ShmHeader* hdr = header();
   auto* peers = seg_.at<PeerSlot>(hdr->peers_off);
@@ -433,39 +395,25 @@ Status Peer::call(ShmEp ep, ppc::RegSet& regs, std::uint32_t token) {
     return Status::kOverloaded;  // lane ring full
   }
 
-  // Every call refreshes liveness; long waits below refresh it again so
-  // a caller stuck behind a slow handler is not declared dead.
-  ShmHeader* hdr = header();
-  auto* peers = seg_.at<PeerSlot>(hdr->peers_off);
-  PeerSlot& slot = peers[idx_];
-  slot.heartbeat_ns.store(now_ns(), std::memory_order_release);
-
-  // Spin-then-yield on the done word. NEVER park: the done word lives in
-  // the segment and futex wakeups do not cross address spaces here.
-  std::uint32_t done;
-  std::uint32_t spins = 0;
-  while (((done = w->done.load(std::memory_order_acquire)) &
-          ShmWait::kDoneBit) == 0) {
-    if (++spins < 128) {
-      cpu_relax();
-    } else {
-      yield_thread();
-      if ((spins & 0x3FFF) == 0) {
-        slot.heartbeat_ns.store(now_ns(), std::memory_order_release);
-      }
-    }
-  }
+  // Every call refreshes liveness. The wait is the in-process ladder
+  // (rt::wait_done) with parking off — the done word lives in the segment
+  // and std::atomic::wait is a private futex — and its per-round help is
+  // the liveness refresh, every 16384 rounds, so a caller stuck behind a
+  // slow handler is not declared dead.
+  heartbeat();
+  std::uint32_t rounds = 0;
+  bool timed_out = false;
+  const Status rc = rt::wait_done(
+      *w, rt::WaitPacing{},
+      [&] {
+        if ((++rounds & 0x3FFF) == 0) heartbeat();
+      },
+      [] {}, &timed_out);
   regs = w->reply;
   release_wait(w);
   counters_->inc(obs::Counter::kCallsRemote);
-  return static_cast<Status>(done & 0xFF);
+  return rc;
 }
-
-std::uint32_t Peer::cancel_token_create() {
-  return shm_cancel_token_create(seg_);
-}
-
-void Peer::cancel(std::uint32_t token) { shm_cancel(seg_, token); }
 
 std::uint32_t Peer::grant_region(std::size_t bytes, std::uint32_t rights) {
   ShmHeader* hdr = header();
@@ -523,10 +471,6 @@ bool Peer::stop_requested() const {
 
 void Peer::request_stop() {
   header()->stop.store(1, std::memory_order_release);
-}
-
-void Peer::adopt_cancel_pool_into(rt::Runtime& rt) {
-  rt.adopt_cancel_pool(cancel_flags_of(seg_), cancel_cursor_of(seg_));
 }
 
 }  // namespace hppc::shm

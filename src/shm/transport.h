@@ -10,7 +10,8 @@
 //   peer:   pop a wait block off the lane free list (plain loads/stores,
 //           peer-private), reset it, claim+publish one ring cell (one CAS
 //           on the lane's enqueue cursor, one release store of the cell
-//           seq), then spin-then-sched_yield on the wait's done word;
+//           seq), then wait on the done word with rt::wait_done — the
+//           in-process spin→help→yield ladder with parking off;
 //   server: drain the lane (acquire load of the cell seq, retire with a
 //           release store), dispatch through a flat function-pointer
 //           table — the frame-ABI shape, no std::function, no worker/CD
@@ -19,11 +20,10 @@
 //   peer:   observe done (acquire), copy the reply, push the wait back.
 //
 // No step locks, no step allocates, and the only cross-process traffic is
-// the cell line, the wait line, and the two cursors. Parking is
-// impossible across address spaces (futexes on segment words would need
-// FUTEX_WAIT on shared mappings; std::atomic::wait is private-futex), so
-// waiters spin-then-yield — on the single-CPU CI host every RTT is
-// scheduler-bound anyway, which the bench quantifies honestly.
+// the cell line, the wait line, and the two cursors. The ladder never
+// parks here (futexes on segment words would need FUTEX_WAIT on shared
+// mappings; std::atomic::wait is private-futex), so waiters spin-then-
+// yield, refreshing their heartbeat as the ladder's per-round help.
 //
 // Liveness (the hard-kill extension): each peer's PeerSlot carries a
 // heartbeat word it refreshes on attach, per call, and from heartbeat().
@@ -50,10 +50,6 @@
 #include "shm/copy.h"
 #include "shm/layout.h"
 #include "shm/segment.h"
-
-namespace hppc::rt {
-class Runtime;
-}
 
 namespace hppc::shm {
 
@@ -120,12 +116,6 @@ class Server {
   void request_stop();
   bool stop_requested() const;
 
-  /// Adopt the segment's cancel pool into `rt` (satellite 2): after this,
-  /// rt.cancel_token_create()/cancel() operate on segment-resident flags,
-  /// so a token minted in EITHER process aborts calls in both — this
-  /// server's drain checks the same flags rt's drain-side sweep reads.
-  void adopt_cancel_pool_into(rt::Runtime& rt);
-
   /// The grant-checked bulk engine (handlers reach it via ShmCtx::copy).
   CopyServer& copy_server() { return copy_; }
 
@@ -167,17 +157,12 @@ class Peer {
   Peer& operator=(const Peer&) = delete;
 
   /// Synchronous cross-process PPC: post one cell on this peer's lane and
-  /// spin-then-yield on the completion word. Warm path: zero locks, zero
-  /// allocations (one wait-block pop, one cell CAS+publish, one spin).
-  /// `token` (from cancel_token_create) rides the cell ep lane; 0 = not
-  /// cancellable. kOverloaded when the lane ring is full.
+  /// wait on the completion word (rt::wait_done, parking off). Warm path:
+  /// zero locks, zero allocations (one wait-block pop, one cell
+  /// CAS+publish, one spin). `token` (from cancel_pool(segment()).create())
+  /// rides the cell ep lane; 0 = not cancellable. kOverloaded when the
+  /// lane ring is full.
   Status call(ShmEp ep, ppc::RegSet& regs, std::uint32_t token = 0);
-
-  /// Cross-process cancellation over the segment-resident pool: tokens
-  /// minted here are honoured by the server's drain (and by any runtime
-  /// that adopted the pool). One fetch_add / one flag store.
-  std::uint32_t cancel_token_create();
-  void cancel(std::uint32_t token);
 
   /// Grant the server read/write rights over a fresh region of `bytes`
   /// (a new shm segment this peer creates and maps). Returns the region
@@ -197,10 +182,6 @@ class Peer {
   /// Observe / raise the segment's cooperative stop flag.
   bool stop_requested() const;
   void request_stop();
-
-  /// Adopt the segment's cancel pool into a runtime embedded in THIS
-  /// process (mirror of Server::adopt_cancel_pool_into).
-  void adopt_cancel_pool_into(rt::Runtime& rt);
 
   std::uint32_t peer_index() const { return idx_; }
   const obs::SlotCounters& counters() const { return own_counters_; }
@@ -223,10 +204,11 @@ class Peer {
   std::array<Segment, kMaxShmRegions> regions_{};  // this peer's grants
 };
 
-/// Segment-resident cancel-pool accessors shared by both endpoints (and
-/// by tests): raise/read flag `token & rt::kCellTokenLaneMask`.
-std::uint32_t shm_cancel_token_create(Segment& seg);
-void shm_cancel(Segment& seg, std::uint32_t token);
-bool shm_cancel_requested(Segment& seg, std::uint32_t token);
+/// The segment-resident cancel pool (ShmHeader::cancel_flags_off /
+/// cancel_cursor_off) as an rt::CancelPool view, from any mapping of the
+/// segment. A token minted and cancelled through it in any process is
+/// refused by the server's drain; assigning it to a runtime's
+/// cancel_pool() shares one pool between that runtime and the segment.
+rt::CancelPool cancel_pool(Segment& seg);
 
 }  // namespace hppc::shm

@@ -89,6 +89,7 @@ TEST(ChaosSoak, RandomFailpointScheduleUnderTrafficNeverHangsOrCorrupts) {
 
   std::atomic<bool> stop_server{false};
   std::atomic<bool> server_up{false};
+  std::atomic<bool> park_phase{false};
   std::thread server([&] {
     const rt::SlotId s = rt.register_thread();
     EXPECT_EQ(s, 0u);
@@ -97,7 +98,25 @@ TEST(ChaosSoak, RandomFailpointScheduleUnderTrafficNeverHangsOrCorrupts) {
     // direct-execute through the gate, which would leave the ring seams
     // (post/ring_full/complete.*) unevaluated. Holding the gate forces the
     // §4.4 queued path the soak is built to stress.
+    std::uint64_t parks_seen = 0;
     while (!stop_server.load(std::memory_order_acquire)) {
+      if (park_phase.load(std::memory_order_acquire)) {
+        // Park phase: hold each call until its waiter has booked the park,
+        // then give the (failpoint-delayed) park CAS time to land, so the
+        // completion finds the parked bit and kicks.
+        const std::uint64_t parks =
+            rt.snapshot().get(obs::Counter::kWaiterParks);
+        if (parks == parks_seen) {
+          std::this_thread::yield();
+          continue;
+        }
+        parks_seen = parks;
+        std::this_thread::sleep_for(std::chrono::microseconds(500));
+        while (rt.poll(s) == 0 && park_phase.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+        continue;
+      }
       if (rt.poll(s) == 0) std::this_thread::yield();
     }
     rt.poll(s);
@@ -216,18 +235,23 @@ TEST(ChaosSoak, RandomFailpointScheduleUnderTrafficNeverHangsOrCorrupts) {
   fault::disarm_all();
 
   // Deterministic park phase: only the park seams armed, server still
-  // polling. Every call must post, park, and be kicked awake with the
-  // right answer — a lost kick hangs right here.
+  // polling but holding each call until its waiter has parked. Every call
+  // must post, park, and be kicked awake with the right answer — a lost
+  // kick hangs right here. (Every earlier call carried a deadline, and
+  // deadline waiters never park.)
   const rt::SlotId me = rt.register_thread();
   for (const ChaosPoint& p : kParkSchedule) {
     ASSERT_TRUE(fault::arm(p.name, p.spec)) << p.name;
   }
+  EXPECT_EQ(rt.snapshot().get(obs::Counter::kWaiterParks), 0u);
+  park_phase.store(true, std::memory_order_release);
   for (Word i = 0; i < 16; ++i) {
     rt::RegSet r{};
     r[0] = i;
     ASSERT_EQ(rt.call_remote(me, 0, /*caller=*/me, ep, r), Status::kOk);
     ASSERT_EQ(r[1], i + 1);
   }
+  park_phase.store(false, std::memory_order_release);
   fault::disarm_all();
 
   // Quiesce: with every point disarmed the system must be fully healthy.

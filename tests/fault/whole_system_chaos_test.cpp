@@ -285,12 +285,12 @@ TEST(WholeSystemChaos, ComposedOverloadKillFaultAndCancellationStorm) {
   // Cancellation storm: a rolling shared token. Callers attach the current
   // token to a slice of their traffic; the storm cancels it (sweeping the
   // rings via the cancel() steal-drain protocol) and mints a successor.
-  std::atomic<rt::CancelToken> storm_token{rt.cancel_token_create()};
+  std::atomic<rt::CancelToken> storm_token{rt.cancel_pool().create()};
   std::atomic<bool> stop_cancel{false};
   std::thread canceller([&] {
     while (!stop_cancel.load(std::memory_order_acquire)) {
       const rt::CancelToken t = storm_token.load(std::memory_order_acquire);
-      storm_token.store(rt.cancel_token_create(), std::memory_order_release);
+      storm_token.store(rt.cancel_pool().create(), std::memory_order_release);
       rt.cancel(t);
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
@@ -405,7 +405,7 @@ TEST(WholeSystemChaos, ComposedOverloadKillFaultAndCancellationStorm) {
 
   // Deterministic cancellation invariant, post-storm.
   {
-    const rt::CancelToken t = rt.cancel_token_create();
+    const rt::CancelToken t = rt.cancel_pool().create();
     rt.cancel(t);
     rt::CallOptions opts;
     opts.cancel_token = t;

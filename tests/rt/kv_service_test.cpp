@@ -333,42 +333,25 @@ TEST(KvService, ReplicatedHotMissUsesXcallPath) {
   }
 }
 
-TEST(KvService, MultiOpChunkDefaultsAndClamps) {
-  Runtime rt(1);
-  EXPECT_EQ(KvService(rt).multi_op_chunk(), kKvDefaultMultiOpChunk);
-  KvService::Config tiny;
-  tiny.multi_op_chunk = 0;  // nonsense: clamped up to 1
-  EXPECT_EQ(KvService(rt, tiny).multi_op_chunk(), 1u);
-  KvService::Config huge;
-  huge.multi_op_chunk = 10'000;  // clamped to the ring-capacity bound
-  EXPECT_EQ(KvService(rt, huge).multi_op_chunk(), kKvMaxMultiOpChunk);
-}
-
 TEST(KvService, VectoredOpsCorrectAcrossChunkSizes) {
-  // The chunk stride is a performance knob, never a semantics knob: the
-  // same burst must land identically at stride 1 (degenerate), an odd
-  // stride that straddles the burst, the default, and the max.
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{5},
-                                  kKvDefaultMultiOpChunk,
-                                  kKvMaxMultiOpChunk}) {
-    Runtime rt(2);
-    const SlotId me = rt.register_thread();
-    KvService::Config cfg;
-    cfg.multi_op_chunk = chunk;
-    KvService kv(rt, cfg);
-    std::vector<Word> keys(37), values(37);
-    for (Word i = 0; i < 37; ++i) {
-      keys[i] = i;
-      values[i] = 1000 + i;
-    }
-    ASSERT_EQ(kv.multi_put(me, 1, 1, keys, values), Status::kOk)
-        << "chunk " << chunk;
-    std::vector<std::optional<Word>> out(37);
-    EXPECT_EQ(kv.multi_get(me, 1, 1, keys, out), 37u) << "chunk " << chunk;
-    for (Word i = 0; i < 37; ++i) {
-      ASSERT_TRUE(out[i].has_value()) << "chunk " << chunk << " key " << i;
-      EXPECT_EQ(*out[i], 1000 + i);
-    }
+  // The chunk stride is a performance constant, never a semantics knob: a
+  // 37-key burst straddles two full kKvMultiOpChunk chunks and a partial
+  // tail, and must land identically to 37 single ops.
+  static_assert(37 % kKvMultiOpChunk != 0 && 37 > 2 * kKvMultiOpChunk);
+  Runtime rt(2);
+  const SlotId me = rt.register_thread();
+  KvService kv(rt);
+  std::vector<Word> keys(37), values(37);
+  for (Word i = 0; i < 37; ++i) {
+    keys[i] = i;
+    values[i] = 1000 + i;
+  }
+  ASSERT_EQ(kv.multi_put(me, 1, 1, keys, values), Status::kOk);
+  std::vector<std::optional<Word>> out(37);
+  EXPECT_EQ(kv.multi_get(me, 1, 1, keys, out), 37u);
+  for (Word i = 0; i < 37; ++i) {
+    ASSERT_TRUE(out[i].has_value()) << "key " << i;
+    EXPECT_EQ(*out[i], 1000 + i);
   }
 }
 

@@ -309,16 +309,16 @@ TEST(RequestCtxPropagation, AsyncDeferredCallsCarryTheContext) {
 
 TEST(Cancellation, TokensAreDistinctAndFlagsLatch) {
   Runtime rt(1);
-  const CancelToken a = rt.cancel_token_create();
-  const CancelToken b = rt.cancel_token_create();
+  const CancelToken a = rt.cancel_pool().create();
+  const CancelToken b = rt.cancel_pool().create();
   EXPECT_NE(a, 0u);
   EXPECT_NE(b, 0u);
   EXPECT_NE(a, b);
-  EXPECT_FALSE(rt.cancel_requested(a));
-  EXPECT_FALSE(rt.cancel_requested(0));
+  EXPECT_FALSE(rt.cancel_pool().requested(a));
+  EXPECT_FALSE(rt.cancel_pool().requested(0));
   rt.cancel(a);
-  EXPECT_TRUE(rt.cancel_requested(a));
-  EXPECT_FALSE(rt.cancel_requested(b));
+  EXPECT_TRUE(rt.cancel_pool().requested(a));
+  EXPECT_FALSE(rt.cancel_pool().requested(b));
   EXPECT_GE(rt.shared_counters().get(Counter::kCancelRequests), 1u);
 }
 
@@ -326,7 +326,7 @@ TEST(Cancellation, CancelledTokenRefusesAtAdmission) {
   Runtime rt(2);
   const SlotId me = rt.register_thread();
   const EntryPointId ep = bind_adder(rt);
-  const CancelToken token = rt.cancel_token_create();
+  const CancelToken token = rt.cancel_pool().create();
   rt.cancel(token);
 
   CallOptions opts;
@@ -351,7 +351,7 @@ TEST(Cancellation, CancelCompletesInRingCellAndKicksWaiter) {
   Runtime rt(3);
   rt.register_thread();  // main: slot 0 (observer only)
   const EntryPointId ep = bind_adder(rt);
-  const CancelToken token = rt.cancel_token_create();
+  const CancelToken token = rt.cancel_pool().create();
   HeldSlot server(rt);  // slot 1: gate held, not polling yet
 
   std::atomic<Status> result{Status::kOk};
@@ -382,7 +382,7 @@ TEST(Cancellation, CancelOfBatchMidDrainAbortsRemainingCells) {
   Runtime rt(3);
   rt.register_thread();  // main: slot 0
   const EntryPointId ep = bind_adder(rt);
-  const CancelToken token = rt.cancel_token_create();
+  const CancelToken token = rt.cancel_pool().create();
   HeldSlot server(rt);  // slot 1
 
   std::array<ppc::RegSet, 24> batch{};
@@ -431,7 +431,7 @@ TEST(Cancellation, CancelVersusCompletionRaceIsClean) {
   int aborted = 0;
   int completed = 0;
   for (int i = 0; i < 400; ++i) {
-    const CancelToken token = rt.cancel_token_create();
+    const CancelToken token = rt.cancel_pool().create();
     std::thread canceller([&rt, token] { rt.cancel(token); });
     CallOptions opts;
     opts.cancel_token = token;
@@ -475,7 +475,7 @@ TEST(Cancellation, CooperativeHandlerObservesCancelMidCall) {
   });
   while (!up.load(std::memory_order_acquire)) std::this_thread::yield();
 
-  const CancelToken token = rt.cancel_token_create();
+  const CancelToken token = rt.cancel_pool().create();
   std::thread canceller([&] {
     while (!handler_entered.load(std::memory_order_acquire)) {
       std::this_thread::yield();
@@ -594,7 +594,7 @@ TEST(FrameLane, AmbientContextGuardsAdmission) {
   EXPECT_EQ(frame_rc_of(f.op), Status::kDeadlineExceeded);
 
   // Cancelled ambient token: same seam, kCallAborted.
-  const CancelToken token = rt.cancel_token_create();
+  const CancelToken token = rt.cancel_pool().create();
   rt.cancel(token);
   req = RequestCtx{};
   req.cancel_token = token;

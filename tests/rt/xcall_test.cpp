@@ -174,6 +174,88 @@ TEST(SlotGate, OwnerBlocksThievesUntilIdle) {
 }
 
 // ---------------------------------------------------------------------------
+// The waiter ladder (wait_done), over both completion blocks
+// ---------------------------------------------------------------------------
+
+template <typename Wait>
+class WaitLadder : public ::testing::Test {};
+using WaitTypes = ::testing::Types<XcallWait, shm::ShmWait>;
+TYPED_TEST_SUITE(WaitLadder, WaitTypes);
+
+TYPED_TEST(WaitLadder, ReturnsTheServersStatus) {
+  TypeParam w;
+  std::atomic<bool> waiting{false};
+  std::thread server([&] {
+    while (!waiting.load(std::memory_order_acquire)) std::this_thread::yield();
+    EXPECT_FALSE(w.complete(Status::kEntryPointDraining));  // nobody parked
+  });
+  int helps = 0;
+  bool timed_out = true;
+  waiting.store(true, std::memory_order_release);
+  const Status s = wait_done(
+      w, WaitPacing{}, [&] { ++helps; }, [] { ADD_FAILURE() << "parked"; },
+      &timed_out);
+  server.join();
+  EXPECT_EQ(s, Status::kEntryPointDraining);
+  EXPECT_FALSE(timed_out);
+  EXPECT_TRUE(w.server_finished());
+}
+
+TYPED_TEST(WaitLadder, ExpiredDeadlineAbandonsThePendingWait) {
+  TypeParam w;
+  bool timed_out = false;
+  const Status s = wait_done(
+      w, WaitPacing{kWaitSpins, kWaitNoPark, /*deadline=*/1}, [] {},
+      [] { ADD_FAILURE() << "parked"; }, &timed_out);
+  EXPECT_EQ(s, Status::kDeadlineExceeded);
+  EXPECT_TRUE(timed_out);
+  // The block stays in flight until the server acks the abandoned cell.
+  EXPECT_TRUE(w.abandoned());
+  EXPECT_FALSE(w.server_finished());
+  w.ack_abandoned();
+  EXPECT_TRUE(w.server_finished());
+}
+
+TYPED_TEST(WaitLadder, AbandonLostToTheCompletionReturnsTheRealResult) {
+  // The completion lands before the waiter's first look, and the deadline
+  // has already passed: with no spin window the ladder goes straight to
+  // the abandon CAS, loses it, and must report the server's result.
+  TypeParam w;
+  w.complete(Status::kOk);
+  bool timed_out = true;
+  const Status s = wait_done(
+      w, WaitPacing{/*spins=*/0, kWaitNoPark, /*deadline=*/1}, [] {},
+      [] { ADD_FAILURE() << "parked"; }, &timed_out);
+  EXPECT_EQ(s, Status::kOk);
+  EXPECT_FALSE(timed_out);
+  EXPECT_FALSE(w.abandoned());
+}
+
+TEST(XcallWait, LadderParksAndIsKickedByTheCompletion) {
+  // Parking is in-process only (shm waiters run kWaitNoPark). With no spin
+  // window and no yield rounds the waiter goes straight to the park CAS;
+  // the server completes only once the parked bit is visible, so the
+  // completing exchange must observe it and kick.
+  XcallWait w;
+  std::atomic<int> parks{0};
+  Status s = Status::kServerError;
+  std::thread waiter([&] {
+    bool timed_out = true;
+    s = wait_done(
+        w, WaitPacing{/*spins=*/0, /*yield_rounds=*/0, /*deadline=*/0},
+        [] {}, [&] { parks.fetch_add(1); }, &timed_out);
+    EXPECT_FALSE(timed_out);
+  });
+  while (w.done.load(std::memory_order_acquire) != XcallWait::kParkedBit) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(w.complete(Status::kOk));  // the kick
+  waiter.join();
+  EXPECT_EQ(s, Status::kOk);
+  EXPECT_EQ(parks.load(), 1);
+}
+
+// ---------------------------------------------------------------------------
 // Runtime::call_remote / call_remote_async
 // ---------------------------------------------------------------------------
 
@@ -300,7 +382,7 @@ TEST(CallRemoteAsync, ExecutedAtTargetPoll) {
   EXPECT_EQ(rt.counters(1).get(obs::Counter::kCallsRemote), 8u);
 }
 
-TEST(CallRemoteAsync, RingOverflowFallsBackToMailbox) {
+TEST(CallRemoteAsync, RingOverflowBlocksUntilOwnerDrains) {
   Runtime rt(2);
   const SlotId me = rt.register_thread();
   std::atomic<int> hits{0};
@@ -310,28 +392,34 @@ TEST(CallRemoteAsync, RingOverflowFallsBackToMailbox) {
         ppc::set_rc(r, Status::kOk);
       });
   // Hold slot 1's gate as its registered owner (in a thread that is not
-  // draining), so async posts park in the ring until it fills.
-  std::atomic<bool> filled{false};
+  // draining) until a post has found the ring full, so async posts park in
+  // the ring until it fills and the next one must wait for space.
   std::atomic<bool> stop{false};
+  std::atomic<bool> owner_up{false};
   std::thread owner([&] {
     const SlotId s = rt.register_thread();
-    while (!filled.load(std::memory_order_acquire)) std::this_thread::yield();
+    owner_up.store(true, std::memory_order_release);
+    while (rt.counters(me).get(obs::Counter::kXcallRingFull) == 0) {
+      std::this_thread::yield();
+    }
     while (!stop.load(std::memory_order_acquire)) rt.poll(s);
   });
+  while (!owner_up.load(std::memory_order_acquire)) std::this_thread::yield();
   const std::size_t n = XcallRing::kCapacity + 8;
   for (std::size_t i = 0; i < n; ++i) {
+    // kBlock (the default): the overflow posts retry until the owner's
+    // drain frees a cell, then land in the ring.
     ASSERT_EQ(rt.call_remote_async(me, 1, 1, ep, make_regs(i)), Status::kOk);
   }
-  // The overflow beyond kCapacity went through the allocating mailbox.
-  EXPECT_EQ(rt.counters(0).get(obs::Counter::kXcallRingFull), 8u);
-  EXPECT_EQ(rt.shared_counters().get(obs::Counter::kMailboxAllocs), 8u);
-  filled.store(true, std::memory_order_release);
+  EXPECT_GE(rt.counters(me).get(obs::Counter::kXcallRingFull), 1u);
+  EXPECT_EQ(rt.shared_counters().get(obs::Counter::kMailboxAllocs), 0u);
   while (hits.load(std::memory_order_relaxed) < static_cast<int>(n)) {
     std::this_thread::yield();
   }
   stop.store(true, std::memory_order_release);
   owner.join();
   EXPECT_EQ(hits.load(), static_cast<int>(n));
+  EXPECT_EQ(rt.counters(1).get(obs::Counter::kCallsRemote), n);
 }
 
 TEST(CallRemote, WarmCrossSlotCallsNeverAllocate) {
@@ -464,15 +552,16 @@ TEST(CallRemote, SyncRingFullBranchesBookTheCounter) {
   }
   EXPECT_EQ(rt.counters(me).get(obs::Counter::kXcallRingFull), 0u);
 
-  // ... then hit the full ring on every post variant. Async: overflow to
-  // the mailbox, one ring_full + one alloc each. Sync fail-fast: ring_full
+  // ... then hit the full ring on every post variant. Async fail-fast:
+  // kOverloaded, one ring_full, no mailbox node. Sync fail-fast: ring_full
   // booked even though the call never waits.
-  ASSERT_EQ(rt.call_remote_async(me, 1, 1, ep, make_regs(0)), Status::kOk);
-  EXPECT_EQ(rt.counters(me).get(obs::Counter::kXcallRingFull), 1u);
-  EXPECT_EQ(rt.shared_counters().get(obs::Counter::kMailboxAllocs), 1u);
-
   CallOptions fail_fast;
   fail_fast.retry = RetryPolicy::kFailFast;
+  EXPECT_EQ(rt.call_remote_async(me, 1, 1, ep, make_regs(0), fail_fast),
+            Status::kOverloaded);
+  EXPECT_EQ(rt.counters(me).get(obs::Counter::kXcallRingFull), 1u);
+  EXPECT_EQ(rt.shared_counters().get(obs::Counter::kMailboxAllocs), 0u);
+
   ppc::RegSet r = make_regs(1);
   EXPECT_EQ(rt.call_remote(me, 1, 1, ep, r, fail_fast), Status::kOverloaded);
   EXPECT_EQ(rt.counters(me).get(obs::Counter::kXcallRingFull), 2u);
@@ -949,9 +1038,11 @@ TEST(Shutdown, ReapsZombieWaitsFromPermanentlyStuckRing) {
 
 #if defined(HPPC_FAULT_INJECTION) && HPPC_FAULT_INJECTION
 TEST(CallRemote, ForcedParkIsKickedByCompletingServer) {
-  // "rt.xcall.park.now" collapses the yield phase, so every ring-path wait
-  // goes straight to the park CAS; the owner's drain must then observe the
-  // parked bit and kick the waiter — the test hangs if the kick is lost.
+  // "rt.xcall.park.now" sends every ring-path wait straight to the park
+  // CAS (no spin window, no yield rounds); the owner's drain must then
+  // observe the parked bit and kick the waiter — the test hangs if the
+  // kick is lost. The owner holds each call until its waiter has entered
+  // the park, so the completion reliably finds the parked bit.
   ASSERT_TRUE(fault::arm("rt.xcall.park.now", "always"));
   {
     Runtime rt(2);
@@ -962,8 +1053,20 @@ TEST(CallRemote, ForcedParkIsKickedByCompletingServer) {
     std::thread owner([&] {
       const SlotId s = rt.register_thread();
       owner_up.store(true, std::memory_order_release);
+      std::uint64_t served = 0;
       while (!stop.load(std::memory_order_acquire)) {
-        if (rt.poll(s) == 0) std::this_thread::yield();
+        if (rt.counters(me).get(obs::Counter::kWaiterParks) == served) {
+          std::this_thread::yield();
+          continue;
+        }
+        // The park is booked just before the CAS: give the CAS time to
+        // land, then drain until this call's cell has been served (an
+        // earlier drain may already have taken it along).
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        ++served;
+        while (rt.poll(s) == 0 && !stop.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
       }
     });
     while (!owner_up.load(std::memory_order_acquire)) {

@@ -94,32 +94,32 @@ TEST(ShmLayout, CancelPoolIsOnePoolAcrossMappings) {
 
   // Token minted through one mapping, flag raised through the other,
   // observed through both: one pool, two address spaces' worth of bases.
-  const std::uint32_t tok = shm_cancel_token_create(view);
+  const std::uint32_t tok = cancel_pool(view).create();
   EXPECT_NE(tok & rt::kCellTokenLaneMask, 0u);
-  EXPECT_FALSE(shm_cancel_requested(server.segment(), tok));
-  shm_cancel(server.segment(), tok);
-  EXPECT_TRUE(shm_cancel_requested(view, tok));
-  EXPECT_TRUE(shm_cancel_requested(server.segment(), tok));
+  EXPECT_FALSE(cancel_pool(server.segment()).requested(tok));
+  cancel_pool(server.segment()).cancel(tok);
+  EXPECT_TRUE(cancel_pool(view).requested(tok));
+  EXPECT_TRUE(cancel_pool(server.segment()).requested(tok));
 }
 
 TEST(ShmLayout, RuntimeAdoptsSegmentCancelPool) {
   const std::string name = uniq_name("adopt");
   Server server(name);
   rt::Runtime rt(1);
-  server.adopt_cancel_pool_into(rt);
+  rt.cancel_pool() = cancel_pool(server.segment());
 
   // Tokens the runtime mints now live in the segment: a raise through the
   // runtime is visible to raw segment reads (what the shm server's drain
   // does), and vice versa.
-  const rt::CancelToken tok = rt.cancel_token_create();
-  EXPECT_FALSE(shm_cancel_requested(server.segment(), tok));
+  const rt::CancelToken tok = rt.cancel_pool().create();
+  EXPECT_FALSE(cancel_pool(server.segment()).requested(tok));
   rt.cancel(tok);
-  EXPECT_TRUE(shm_cancel_requested(server.segment(), tok));
+  EXPECT_TRUE(cancel_pool(server.segment()).requested(tok));
 
-  const std::uint32_t tok2 = shm_cancel_token_create(server.segment());
-  EXPECT_FALSE(rt.cancel_requested(tok2));
-  shm_cancel(server.segment(), tok2);
-  EXPECT_TRUE(rt.cancel_requested(tok2));
+  const std::uint32_t tok2 = cancel_pool(server.segment()).create();
+  EXPECT_FALSE(rt.cancel_pool().requested(tok2));
+  cancel_pool(server.segment()).cancel(tok2);
+  EXPECT_TRUE(rt.cancel_pool().requested(tok2));
 }
 
 TEST(ShmLayout, CellMatchesInProcessPacking) {

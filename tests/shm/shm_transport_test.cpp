@@ -90,8 +90,8 @@ TEST(ShmTransport, UnboundEpFailsAndUnknownTokenCancels) {
   EXPECT_EQ(peer.call(/*ep=*/33, regs), Status::kNoSuchEntryPoint);
 
   // A pre-cancelled token aborts at the drain seam without dispatching.
-  const std::uint32_t tok = peer.cancel_token_create();
-  peer.cancel(tok);
+  const std::uint32_t tok = cancel_pool(peer.segment()).create();
+  cancel_pool(peer.segment()).cancel(tok);
   EXPECT_EQ(peer.call(/*ep=*/33, regs, tok), Status::kCallAborted);
 
   done.store(true, std::memory_order_release);
@@ -225,12 +225,12 @@ TEST(ShmTransport, CancelCrossesTheProcessBoundary) {
       // Mint in the child, cancel in the child, post with the token: the
       // PARENT's drain must see the flag (it lives in the segment) and
       // refuse the dispatch.
-      const std::uint32_t tok = peer.cancel_token_create();
-      peer.cancel(tok);
+      const std::uint32_t tok = cancel_pool(peer.segment()).create();
+      cancel_pool(peer.segment()).cancel(tok);
       ppc::RegSet regs;
       if (peer.call(1, regs, tok) != Status::kCallAborted) ::_exit(2);
       // And an uncancelled token still executes.
-      const std::uint32_t tok2 = peer.cancel_token_create();
+      const std::uint32_t tok2 = cancel_pool(peer.segment()).create();
       if (peer.call(1, regs, tok2) != Status::kOk) ::_exit(3);
     } catch (...) {
       ::_exit(4);
