@@ -23,7 +23,10 @@
 // propagator hook (repl::ReplHub rides Runtime::call_remote_async so each
 // owner refreshes its own replica at its next drain; see repl_hub.h). All
 // replica publishes are serialized by the master mutex, so the sequence
-// word is never torn by two writers.
+// word is never torn by two writers. A write whose mutate leaves the master
+// bytes unchanged publishes nothing (no version bump, no fan-out) — only the
+// mutex it took is booked. Replicas that still lag an earlier change keep
+// that change's pending publish.
 //
 // Consistency contract: readers see a *consistent* (never torn) value that
 // is at most one propagation delay stale. Use a lock instead when readers
@@ -161,12 +164,27 @@ class Replicated {
   /// Single writer path: mutate the master under its mutex, then propagate.
   /// `writer_slot` names the calling thread's slot (its replica is
   /// published inline so the writer reads its own writes immediately);
-  /// pass repl::kNoSlot from threads that own no slot.
+  /// pass repl::kNoSlot from threads that own no slot. A mutate that
+  /// leaves the master's bytes as they were publishes nothing.
   template <typename Fn>
     requires requires(Fn f, T& t) { f(t); }
   void write(std::uint32_t writer_slot, Fn&& mutate) {
     std::lock_guard<std::mutex> lock(master_mutex_);
+    obs::SlotCounters* c =
+        writer_slot != kNoSlot ? counters_[writer_slot] : nullptr;
+    if (c != nullptr) c->inc(obs::Counter::kLocksTaken);  // the master mutex
+    const T before = master_;
     mutate(master_);
+    if (std::memcmp(&before, &master_, sizeof(T)) == 0) {
+      // Unchanged master: nothing to publish. Only a writer replica that
+      // lags an earlier change is caught up — its own line, no fan-out —
+      // so the writer still reads what it just (re)wrote.
+      const std::uint64_t v = version_.load(std::memory_order_relaxed);
+      if (writer_slot != kNoSlot && replica_version(writer_slot) != v) {
+        store_words(*replicas_[writer_slot], master_, v);
+      }
+      return;
+    }
     const std::uint64_t v = version_.load(std::memory_order_relaxed) + 1;
     version_.store(v, std::memory_order_relaxed);
     std::uint64_t published = 0;
@@ -185,10 +203,8 @@ class Replicated {
       }
       ++published;
     }
-    if (writer_slot != kNoSlot && counters_[writer_slot] != nullptr) {
-      obs::SlotCounters* c = counters_[writer_slot];
+    if (c != nullptr) {
       c->inc(obs::Counter::kReplInvalidations, published);
-      c->inc(obs::Counter::kLocksTaken);  // the master mutex
       if (remote_lines != 0) {
         c->inc(obs::Counter::kSharedLinesTouched, remote_lines);
       }

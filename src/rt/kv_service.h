@@ -139,11 +139,10 @@ class KvService {
     // entry the hot set never admitted) falls through to the owner.
     if (hot_ != nullptr) {
       const HotSet h = hot_->read(caller_slot);
-      for (std::uint32_t i = 0; i < hot_cap_; ++i) {
-        if (h.e[i].used != 0 && h.e[i].key == key) {
-          note_repl_hit(caller_slot, key);
-          return h.e[i].value;
-        }
+      const std::uint32_t i = hot_index(h, key);
+      if (i != kHotMiss) {
+        note_repl_hit(caller_slot, key);
+        return h.e[i].value;
       }
     }
     RegSet r;
@@ -183,8 +182,9 @@ class KvService {
 
   /// Vectored read: out[i] = value of keys[i] (nullopt on miss). Keys the
   /// caller's replicated hot-set replica already holds are answered
-  /// locally; only the misses ride the batched xcall. Returns the number
-  /// of keys found. `out.size()` must be >= `keys.size()`.
+  /// locally from one snapshot of it taken per call; only the misses ride
+  /// the batched xcall. Returns the number of keys found. `out.size()`
+  /// must be >= `keys.size()`.
   std::size_t multi_get(SlotId caller_slot, SlotId owner_slot,
                         ProgramId caller, std::span<const Word> keys,
                         std::span<std::optional<Word>> out) {
@@ -207,22 +207,16 @@ class KvService {
       }
       pending = 0;
     };
+    // One lock-free replica read serves every key of the call (empty, and
+    // never probed, when the hot set is off); hot hits never touch the ring.
+    const HotSet h = hot_ != nullptr ? hot_->read(caller_slot) : HotSet{};
     for (std::size_t idx = 0; idx < keys.size(); ++idx) {
-      if (hot_ != nullptr) {
-        // One replica read per key keeps the probe lock-free and local;
-        // hot hits never touch the ring at all.
-        const HotSet h = hot_->read(caller_slot);
-        bool hit = false;
-        for (std::uint32_t j = 0; j < hot_cap_; ++j) {
-          if (h.e[j].used != 0 && h.e[j].key == keys[idx]) {
-            out[idx] = h.e[j].value;
-            ++hits;
-            hit = true;
-            note_repl_hit(caller_slot, keys[idx]);
-            break;
-          }
-        }
-        if (hit) continue;
+      const std::uint32_t j = hot_index(h, keys[idx]);
+      if (j != kHotMiss) {
+        out[idx] = h.e[j].value;
+        ++hits;
+        note_repl_hit(caller_slot, keys[idx]);
+        continue;
       }
       regs[pending] = RegSet{};
       regs[pending][0] = keys[idx];
@@ -244,8 +238,10 @@ class KvService {
 
   /// The replicated hot set: a fixed, trivially-copyable record small
   /// enough for a per-slot seqlock replica. Admission is write-through on
-  /// put while slots remain; eviction only on erase (read-mostly data —
-  /// churn would turn every put into a fan-out publish).
+  /// put while slots remain; eviction only on erase. Only a put that admits
+  /// a key or changes an admitted value, and an erase that removes an
+  /// entry, publish to the other slots; every other put takes the master
+  /// mutex, finds nothing to change and publishes nothing.
   struct HotEntry {
     Word key = 0;
     Word value = 0;
@@ -275,17 +271,29 @@ class KvService {
 #endif
   }
 
+  static constexpr std::uint32_t kHotMiss = ~0u;
+
+  /// Index of `key`'s admitted entry in `h`, or kHotMiss.
+  std::uint32_t hot_index(const HotSet& h, Word key) const {
+    for (std::uint32_t i = 0; i < hot_cap_; ++i) {
+      if (h.e[i].used != 0 && h.e[i].key == key) return i;
+    }
+    return kHotMiss;
+  }
+
+  // A same-value rewrite, a key the full set never admitted and an erase
+  // of a key it does not hold leave the hot set's bytes unchanged, so
+  // Replicated::write publishes nothing for them.
   void hot_put(std::uint32_t writer_slot, Word key, Word value) {
     hot_->write(writer_slot, [&](HotSet& h) {
-      for (std::uint32_t i = 0; i < hot_cap_; ++i) {
-        if (h.e[i].used != 0 && h.e[i].key == key) {
-          h.e[i].value = value;
-          return;
-        }
+      const std::uint32_t i = hot_index(h, key);
+      if (i != kHotMiss) {
+        h.e[i].value = value;
+        return;
       }
-      for (std::uint32_t i = 0; i < hot_cap_; ++i) {
-        if (h.e[i].used == 0) {
-          h.e[i] = HotEntry{key, value, 1};
+      for (std::uint32_t j = 0; j < hot_cap_; ++j) {
+        if (h.e[j].used == 0) {
+          h.e[j] = HotEntry{key, value, 1};
           ++h.n;
           return;
         }
@@ -296,13 +304,10 @@ class KvService {
 
   void hot_erase(std::uint32_t writer_slot, Word key) {
     hot_->write(writer_slot, [&](HotSet& h) {
-      for (std::uint32_t i = 0; i < hot_cap_; ++i) {
-        if (h.e[i].used != 0 && h.e[i].key == key) {
-          h.e[i] = HotEntry{};
-          --h.n;
-          return;
-        }
-      }
+      const std::uint32_t i = hot_index(h, key);
+      if (i == kHotMiss) return;
+      h.e[i] = HotEntry{};
+      --h.n;
     });
   }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -136,6 +137,90 @@ TEST(Replicated, PropagatorReplacesInlinePublish) {
   val.pull(0);
   EXPECT_EQ(val.read(0), 2u);
   EXPECT_EQ(val.replica_version(0), 1u);
+}
+
+TEST(Replicated, UnchangedWritePublishesNothing) {
+  // A mutate that leaves the master unchanged: the write takes (and books)
+  // the mutex, then returns — no version bump, no replica store, no
+  // propagator call, no invalidation.
+  Replicated<std::uint64_t> val(4, 1);
+  std::array<obs::SlotCounters, 4> c;
+  for (std::uint32_t s = 0; s < 4; ++s) val.attach_counters(s, &c[s]);
+  int propagated = 0;
+  val.set_propagator(
+      [&](std::uint32_t, std::uint32_t, std::uint64_t) { ++propagated; });
+  val.write(1, [](std::uint64_t& v) { v = 2; });
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    if (s != 1) val.pull(s);  // every replica current at version 1
+  }
+  ASSERT_EQ(propagated, 3);
+  const auto before = c[1].snapshot();
+
+  val.write(1, [](std::uint64_t& v) { v = 2; });  // same-value rewrite
+  val.write(kNoSlot, [](std::uint64_t&) {});
+  EXPECT_EQ(val.version(), 1u);
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(val.replica_version(s), 1u) << "slot " << s;
+    EXPECT_EQ(val.read(s), 2u);
+  }
+  EXPECT_EQ(propagated, 3);
+  const auto delta = c[1].snapshot().delta(before);
+  EXPECT_EQ(delta.get(Counter::kReplInvalidations), 0u);
+  EXPECT_EQ(delta.get(Counter::kSharedLinesTouched), 0u);
+  EXPECT_EQ(delta.get(Counter::kLocksTaken), 1u);  // the mutex was taken
+}
+
+TEST(Replicated, ChangedWritesPublishEverySlot) {
+  // Every write that changes the master publishes to every slot: inline
+  // without a propagator, through it with one.
+  Replicated<std::uint64_t> inline_val(3, 0);
+  obs::SlotCounters ci;
+  inline_val.attach_counters(0, &ci);
+  inline_val.write(0, [](std::uint64_t& v) { v = 5; });
+  inline_val.write(0, [](std::uint64_t& v) { v = 6; });
+  EXPECT_EQ(inline_val.version(), 2u);
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(inline_val.replica_version(s), 2u);
+    EXPECT_EQ(inline_val.read(s), 6u);
+  }
+  EXPECT_EQ(ci.get(Counter::kReplInvalidations), 6u);
+  EXPECT_EQ(ci.get(Counter::kLocksTaken), 2u);
+
+  Replicated<std::uint64_t> val(3, 0);
+  obs::SlotCounters c;
+  val.attach_counters(2, &c);
+  std::vector<std::uint64_t> versions;
+  val.set_propagator([&](std::uint32_t, std::uint32_t, std::uint64_t v) {
+    versions.push_back(v);
+  });
+  val.write(2, [](std::uint64_t& v) { v = 5; });
+  val.write(2, [](std::uint64_t& v) { v = 6; });
+  EXPECT_EQ(versions, (std::vector<std::uint64_t>{1, 1, 2, 2}));
+  EXPECT_EQ(c.get(Counter::kReplInvalidations), 6u);
+  EXPECT_EQ(val.replica_version(2), 2u);  // the writer's own: inline
+}
+
+TEST(Replicated, UnchangedWriteCatchesUpALaggingWriterReplica) {
+  // Slot 1 changes the value; slot 2's refresh is still pending when slot
+  // 2 rewrites the same value. Nothing is published, but slot 2's own
+  // replica catches up so it reads what it just wrote.
+  Replicated<std::uint64_t> val(4, 1);
+  obs::SlotCounters c2;
+  val.attach_counters(2, &c2);
+  int propagated = 0;
+  val.set_propagator(
+      [&](std::uint32_t, std::uint32_t, std::uint64_t) { ++propagated; });
+  val.write(1, [](std::uint64_t& v) { v = 9; });
+  ASSERT_EQ(val.replica_version(2), 0u);
+
+  val.write(2, [](std::uint64_t& v) { v = 9; });  // same-value rewrite
+  EXPECT_EQ(val.version(), 1u);
+  EXPECT_EQ(propagated, 3);
+  EXPECT_EQ(val.read(2), 9u);
+  EXPECT_EQ(val.replica_version(2), 1u);
+  EXPECT_EQ(val.replica_version(0), 0u);  // still awaiting its refresh
+  EXPECT_EQ(c2.get(Counter::kReplInvalidations), 0u);
+  EXPECT_EQ(c2.get(Counter::kLocksTaken), 1u);
 }
 
 TEST(ReplHub, WriteBurstPostsOneNudgePerSlot) {

@@ -333,6 +333,89 @@ TEST(KvService, ReplicatedHotMissUsesXcallPath) {
   }
 }
 
+/// Runs `body` against a busy-polling owner on slot 1 whose KvService has
+/// a full two-entry hot set: keys 1 and 2 (values 10 and 20) are admitted
+/// and the caller's replica has drained their refresh.
+template <typename Body>
+void with_full_hot_set(Body body) {
+  Runtime rt(2);
+  const SlotId me = rt.register_thread();
+  KvService::Config cfg;
+  cfg.replicated_hot_capacity = 2;
+  KvService kv(rt, cfg);
+  std::atomic<bool> stop{false};
+  std::atomic<bool> up{false};
+  std::thread owner([&] {
+    const SlotId s = rt.register_thread();
+    up.store(true, std::memory_order_release);
+    while (!stop.load(std::memory_order_acquire)) {
+      if (rt.poll(s) == 0) std::this_thread::yield();
+    }
+  });
+  while (!up.load(std::memory_order_acquire)) std::this_thread::yield();
+  [&] {  // a failed ASSERT returns here, so the owner is still joined
+    ASSERT_EQ(kv.put_remote(me, 1, 1, 1, 10), Status::kOk);
+    ASSERT_EQ(kv.put_remote(me, 1, 1, 2, 20), Status::kOk);
+    rt.poll(me);  // drain the admission refresh
+    ASSERT_EQ(kv.get_remote(me, 1, 1, 2), std::optional<Word>(20));
+    body(rt, kv, me);
+  }();
+  stop.store(true, std::memory_order_release);
+  owner.join();
+}
+
+TEST(KvService, UnchangedHotSetWritesPublishNothing) {
+  // Puts the full hot set never admits, same-value rewrites of admitted
+  // keys and the erase of a key it does not hold change nothing
+  // replicated: each books the master mutex on the owner, and none
+  // invalidates a replica or leaves a refresh nudge in the caller's ring.
+  with_full_hot_set([](Runtime& rt, KvService& kv, SlotId me) {
+    const auto owner_before = rt.slot_snapshot(1);
+    const auto me_before = rt.slot_snapshot(me);
+    for (Word k = 3; k < 6; ++k) {
+      ASSERT_EQ(kv.put_remote(me, 1, 1, k, k * 10), Status::kOk);
+    }
+    ASSERT_EQ(kv.put_remote(me, 1, 1, 1, 10), Status::kOk);
+    ASSERT_EQ(kv.put_remote(me, 1, 1, 2, 20), Status::kOk);
+    ppc::RegSet r;
+    r[0] = 3;
+    ppc::set_op(r, kKvErase);
+    ASSERT_EQ(rt.call_remote(me, 1, 1, kv.ep(), r), Status::kOk);
+    EXPECT_EQ(rt.poll(me), 0u);  // no refresh nudge to serve
+
+    const auto owner = rt.slot_snapshot(1).delta(owner_before);
+    const auto mine = rt.slot_snapshot(me).delta(me_before);
+    EXPECT_EQ(owner.get(obs::Counter::kReplInvalidations), 0u);
+    EXPECT_EQ(owner.get(obs::Counter::kLocksTaken), 6u);  // one per write
+    EXPECT_EQ(mine.get(obs::Counter::kXcallCellsDrained), 0u);
+    EXPECT_EQ(mine.get(obs::Counter::kLocksTaken), 0u);  // no pull
+    EXPECT_EQ(kv.get_remote(me, 1, 1, 1), std::optional<Word>(10));
+    EXPECT_EQ(kv.get_remote(me, 1, 1, 4), std::optional<Word>(40));
+    EXPECT_FALSE(kv.get_remote(me, 1, 1, 3).has_value());
+  });
+}
+
+TEST(KvService, ChangedHotValueStillPublishesToEverySlot) {
+  // The regression guard: changing an admitted key's value publishes to
+  // both slots, and after its refresh the caller reads the new value from
+  // its own replica.
+  with_full_hot_set([](Runtime& rt, KvService& kv, SlotId me) {
+    const auto owner_before = rt.slot_snapshot(1);
+    const auto me_before = rt.slot_snapshot(me);
+    ASSERT_EQ(kv.put_remote(me, 1, 1, 1, 11), Status::kOk);
+    EXPECT_GT(rt.poll(me), 0u);  // the refresh nudge
+    const auto owner = rt.slot_snapshot(1).delta(owner_before);
+    const auto mine = rt.slot_snapshot(me).delta(me_before);
+    EXPECT_EQ(owner.get(obs::Counter::kReplInvalidations), 2u);
+    EXPECT_EQ(mine.get(obs::Counter::kXcallCellsDrained), 1u);
+
+    const auto before_get = rt.slot_snapshot(me);
+    EXPECT_EQ(kv.get_remote(me, 1, 1, 1), std::optional<Word>(11));
+    const auto get = rt.slot_snapshot(me).delta(before_get);
+    EXPECT_EQ(get.get(obs::Counter::kCallsRemote), 0u);  // from the replica
+  });
+}
+
 TEST(KvService, VectoredOpsCorrectAcrossChunkSizes) {
   // The chunk stride is a performance constant, never a semantics knob: a
   // 37-key burst straddles two full kKvMultiOpChunk chunks and a partial
