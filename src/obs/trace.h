@@ -68,7 +68,8 @@ constexpr const char* span_kind_name(SpanKind k) {
   return "unknown";
 }
 
-/// Fixed event ids. Append only — they appear in exported traces.
+/// Fixed event ids. Exports name events (trace_event_name), never number
+/// them; add new ones at the end.
 enum class TraceEvent : std::uint16_t {
   kCallEnter = 0,     // arg = entry point id
   kCallExit,          // arg = status code
@@ -88,8 +89,7 @@ enum class TraceEvent : std::uint16_t {
   kGatewayForward,    // arg = legacy server pid
   kXcallPost,         // arg = target slot (caller-side ring publish)
   kXcallBatch,        // arg = cells drained in the batch (target-side)
-  kReplPublish,       // arg = replicated object id (writer-side propagate)
-  kReplPull,          // arg = replicated object id (owner refreshed replica)
+  kReplPublish,       // arg = members in the record the owner published
   kFaultInject,       // arg = site-local tag (fault injection fired)
   kDeadlineExceeded,  // arg = target slot (caller abandoned the wait)
   kCallShed,          // arg = target slot (admission control rejected)
@@ -98,7 +98,7 @@ enum class TraceEvent : std::uint16_t {
   kWaiterKick,        // arg = entry point (completion woke a parked waiter)
   kSpanBegin,         // arg = SpanKind; trace/span/parent ids carried
   kSpanEnd,           // arg = status code; trace/span ids carried
-  kReplHit,           // arg = replicated object id (read served by replica)
+  kReplHit,           // arg = key (read served from the owner's record)
   kCallCancelled,     // arg = target slot/ep (cancel token fired on the call)
   kCount
 };
@@ -124,7 +124,6 @@ constexpr const char* trace_event_name(TraceEvent e) {
     case TraceEvent::kXcallPost: return "xcall_post";
     case TraceEvent::kXcallBatch: return "xcall_batch";
     case TraceEvent::kReplPublish: return "repl_publish";
-    case TraceEvent::kReplPull: return "repl_pull";
     case TraceEvent::kFaultInject: return "fault_inject";
     case TraceEvent::kDeadlineExceeded: return "deadline_exceeded";
     case TraceEvent::kCallShed: return "call_shed";

@@ -1,237 +1,123 @@
-// Replicated read-mostly objects: a cache-line-aligned, seqlock-versioned
-// replica of a small trivially-copyable T per slot/CPU.
+// Replicated read-mostly objects on the host: a cache-line-aligned,
+// seqlock-versioned record of a small trivially-copyable T that exactly one
+// owner writes and any thread reads in place.
 //
 // The paper removes locks from the IPC *facility*; Figure 3 then shows the
 // next bottleneck is any lock the *service* takes — the per-file spinlock
 // serializes ~16 us of every 66 us GetLength call and the single-file curve
 // saturates at four processors. For read-mostly service state the remedy is
-// the same per-processor discipline the facility itself uses: give every
-// slot its own replica, make reads validate a slot-local sequence counter
-// (no shared lines touched, no locks), and push the rare writes through a
-// single master path that propagates new versions outward.
+// the facility's own discipline: one writer, no lock, and readers that
+// validate a sequence word instead of taking anything. On a cache-coherent
+// host a reader's copy of the record's lines stays valid in its cache until
+// the owner changes them, so a warm read makes no remote reference (Golab's
+// point about spinning on a coherent cached location). Hector had no
+// coherence, so its per-CPU replicas stay in the simulator
+// (repl::SimReplicated), where they model exactly that lack.
 //
-// Read protocol (per replica, classic seqlock with TSan-clean atomics):
-//   s0 = seq.load(acquire); if odd, the replica is mid-update -> retry
+// Read protocol (classic seqlock with TSan-clean atomics):
+//   s0 = seq.load(acquire); if odd, the owner is mid-publish -> retry
 //   copy the payload words with relaxed atomic loads
 //   fence(acquire); if seq.load(relaxed) == s0 the copy is consistent
-// After kMaxSeqRetries failed attempts the reader falls back to the locked
-// master copy (booked as repl_fallback_locked + locks_taken) so a stalled
-// writer can never wedge readers.
+// After kMaxSeqRetries failed attempts read() reports a miss (booked as
+// repl_fallback_locked) rather than spin, so an owner stalled mid-publish
+// can never wedge readers: the caller answers some other way (KvService
+// takes the owner's call, which is always correct).
 //
-// Write protocol: mutate the master under its mutex, bump the version, then
-// publish — either inline to every replica (standalone mode), or through a
-// propagator hook (repl::ReplHub rides Runtime::call_remote_async so each
-// owner refreshes its own replica at its next drain; see repl_hub.h). All
-// replica publishes are serialized by the master mutex, so the sequence
-// word is never torn by two writers. A write whose mutate leaves the master
-// bytes unchanged publishes nothing (no version bump, no fan-out) — only the
-// mutex it took is booked. Replicas that still lag an earlier change keep
-// that change's pending publish.
-//
-// Consistency contract: readers see a *consistent* (never torn) value that
-// is at most one propagation delay stale. Use a lock instead when readers
-// must observe a write the instant it completes.
+// Write protocol: one writer at a time, and that serialization is the
+// caller's contract (KvService: the thread holding the owner's slot — its
+// poller or a gate thief — the same rule its shard relies on). write()
+// applies the mutate to a copy of the record and publishes only if the
+// bytes changed: no mutex, no version fan-out, one publish per change.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <functional>
-#include <memory>
-#include <mutex>
+#include <optional>
 #include <type_traits>
-#include <vector>
 
 #include "common/cacheline.h"
 #include "common/cpu_relax.h"
-#include "mem/arena.h"
 #include "obs/counters.h"
 
 namespace hppc::repl {
 
-/// Seqlock read attempts before a reader gives up and takes the master
-/// lock. Retries only happen while a writer is mid-publish on this exact
-/// replica, so the bound is generous.
+/// Seqlock read attempts before a reader reports a miss. Retries only
+/// happen while the owner is mid-publish, so the bound is generous.
 inline constexpr int kMaxSeqRetries = 8;
 
-/// Writer-slot sentinel for threads that own no runtime slot.
-inline constexpr std::uint32_t kNoSlot = ~0u;
-
-struct ReplicatedTestAccess;  // white-box test hook (stall a replica)
+struct ReplicatedTestAccess;  // white-box test hook (stall the record)
 
 template <typename T>
-class Replicated {
+class alignas(kHostCacheLine) Replicated {
   static_assert(std::is_trivially_copyable_v<T>,
-                "replicas are copied word-by-word");
+                "records are copied word-by-word");
   static_assert(sizeof(T) <= 256, "replicate small records, not buffers");
 
  public:
-  /// Called once per non-writer slot on write() when installed: posts the
-  /// refresh to `target_slot` (ReplHub rides the xcall ring). The writer's
-  /// own replica is always published inline before the propagator runs.
-  using Propagator = std::function<void(
-      std::uint32_t writer_slot, std::uint32_t target_slot,
-      std::uint64_t version)>;
-
-  /// Maps a slot to the NUMA node its replica should live on (defaults to
-  /// node 0 for every slot; Runtime passes its slot-striping).
-  using NodeOf = std::function<NodeId(std::uint32_t slot)>;
-
-  /// Without an arena, replicas live in one heap array (cache-line aligned,
-  /// first-touch placement). With one, each slot's replica is arena-placed
-  /// on `node_of(slot)` — the read path's seqlock line is then node-local
-  /// to its single reader, matching the paper's per-processor discipline.
-  explicit Replicated(std::uint32_t slots, T initial = T{},
-                      mem::Arena* arena = nullptr, NodeOf node_of = {})
-      : master_(initial),
-        slots_(slots),
-        replicas_(slots, nullptr),
-        counters_(slots, nullptr) {
-    if (arena != nullptr) {
-      for (std::uint32_t s = 0; s < slots_; ++s) {
-        replicas_[s] = arena->create<Replica>(node_of ? node_of(s) : 0);
-      }
-    } else {
-      heap_ = std::make_unique<Replica[]>(slots);
-      for (std::uint32_t s = 0; s < slots_; ++s) replicas_[s] = &heap_[s];
-    }
-    for (std::uint32_t s = 0; s < slots_; ++s) {
-      store_words(*replicas_[s], initial, /*version=*/0);
+  /// Trivially destructible, so it can live in a mem::Arena on its
+  /// owner's node (Arena::create<Replicated<T>>(node, initial)).
+  explicit Replicated(const T& initial = T{}) {
+    const auto w = to_words(initial);
+    for (std::size_t i = 0; i < kWords; ++i) {
+      words_[i].store(w[i], std::memory_order_relaxed);
     }
   }
 
   Replicated(const Replicated&) = delete;
   Replicated& operator=(const Replicated&) = delete;
 
-  std::uint32_t slots() const { return slots_; }
-
-  /// Wire a slot's observability block (repl_reads / repl_seq_retries /
-  /// repl_fallback_locked book here). The block must be owned by the thread
-  /// that calls read(slot) — the same single-writer discipline every
-  /// SlotCounters block carries.
-  void attach_counters(std::uint32_t slot, obs::SlotCounters* c) {
-    counters_[slot] = c;
-  }
-
-  /// Install the cross-slot propagation hook (see ReplHub). Without one,
-  /// write() publishes every replica inline from the writing thread.
-  void set_propagator(Propagator p) { propagator_ = std::move(p); }
-
-  /// Lock-free read of `slot`'s replica. Must be called by the thread that
-  /// currently owns the slot (its registered thread, or a gate thief) so
-  /// the counter booking stays single-writer. Never blocks on a writer for
-  /// more than the retry bound; the fallback takes the master mutex.
-  T read(std::uint32_t slot) {
-    Replica& r = *replicas_[slot];
-    obs::SlotCounters* c = counters_[slot];
+  /// Lock-free read from any thread: a consistent copy, or nullopt when
+  /// the retry bound ran out while the owner was mid-publish. `c` is the
+  /// reading thread's own counter block (repl_reads / repl_seq_retries /
+  /// repl_fallback_locked book there), or null.
+  std::optional<T> read(obs::SlotCounters* c = nullptr) const {
     std::uint64_t retries = 0;
     for (int attempt = 0; attempt < kMaxSeqRetries; ++attempt) {
-      const std::uint32_t s0 = r.seq.load(std::memory_order_acquire);
-      if (s0 & 1u) {  // mid-update
+      const std::uint32_t s0 = seq_.load(std::memory_order_acquire);
+      if (s0 & 1u) {  // mid-publish
         ++retries;
         cpu_relax();
         continue;
       }
-      std::array<std::uint64_t, kWords> w;
-      for (std::size_t i = 0; i < kWords; ++i) {
-        w[i] = r.words[i].load(std::memory_order_relaxed);
-      }
+      const T out = load_words();
       std::atomic_thread_fence(std::memory_order_acquire);
-      if (r.seq.load(std::memory_order_relaxed) == s0) {
+      if (seq_.load(std::memory_order_relaxed) == s0) {
         if (c != nullptr) {
           c->inc(obs::Counter::kReplReads);
           if (retries != 0) c->inc(obs::Counter::kReplSeqRetries, retries);
         }
-        T out;
-        std::memcpy(&out, w.data(), sizeof(T));
         return out;
       }
       ++retries;
     }
-    // Retry bound exhausted: a writer is parked mid-publish on this
-    // replica. Read the master under its lock — correct, just not private.
     if (c != nullptr) {
       c->inc(obs::Counter::kReplReads);
       c->inc(obs::Counter::kReplSeqRetries, retries);
       c->inc(obs::Counter::kReplFallbackLocked);
-      c->inc(obs::Counter::kLocksTaken);
     }
-    std::lock_guard<std::mutex> lock(master_mutex_);
-    return master_;
+    return std::nullopt;
   }
 
-  /// Single writer path: mutate the master under its mutex, then propagate.
-  /// `writer_slot` names the calling thread's slot (its replica is
-  /// published inline so the writer reads its own writes immediately);
-  /// pass repl::kNoSlot from threads that own no slot. A mutate that
-  /// leaves the master's bytes as they were publishes nothing.
+  /// Owner-only write: mutate a copy of the record and publish it if its
+  /// bytes changed (one repl_invalidations on the owner's block `c`).
+  /// Returns whether it published.
   template <typename Fn>
     requires requires(Fn f, T& t) { f(t); }
-  void write(std::uint32_t writer_slot, Fn&& mutate) {
-    std::lock_guard<std::mutex> lock(master_mutex_);
-    obs::SlotCounters* c =
-        writer_slot != kNoSlot ? counters_[writer_slot] : nullptr;
-    if (c != nullptr) c->inc(obs::Counter::kLocksTaken);  // the master mutex
-    const T before = master_;
-    mutate(master_);
-    if (std::memcmp(&before, &master_, sizeof(T)) == 0) {
-      // Unchanged master: nothing to publish. Only a writer replica that
-      // lags an earlier change is caught up — its own line, no fan-out —
-      // so the writer still reads what it just (re)wrote.
-      const std::uint64_t v = version_.load(std::memory_order_relaxed);
-      if (writer_slot != kNoSlot && replica_version(writer_slot) != v) {
-        store_words(*replicas_[writer_slot], master_, v);
-      }
-      return;
-    }
-    const std::uint64_t v = version_.load(std::memory_order_relaxed) + 1;
-    version_.store(v, std::memory_order_relaxed);
-    std::uint64_t published = 0;
-    std::uint64_t remote_lines = 0;
-    if (writer_slot != kNoSlot) {
-      store_words(*replicas_[writer_slot], master_, v);
-      ++published;
-    }
-    for (std::uint32_t s = 0; s < slots_; ++s) {
-      if (s == writer_slot) continue;
-      if (propagator_) {
-        propagator_(writer_slot, s, v);  // ReplHub books the ring traffic
-      } else {
-        store_words(*replicas_[s], master_, v);
-        ++remote_lines;  // inline publish writes another slot's line
-      }
-      ++published;
-    }
-    if (c != nullptr) {
-      c->inc(obs::Counter::kReplInvalidations, published);
-      if (remote_lines != 0) {
-        c->inc(obs::Counter::kSharedLinesTouched, remote_lines);
-      }
-    }
+  bool write(obs::SlotCounters* c, Fn&& mutate) {
+    const T before = load_words();  // the only writer: no seqlock needed
+    T after = before;
+    mutate(after);
+    if (std::memcmp(&before, &after, sizeof(T)) == 0) return false;
+    store_words(after);
+    if (c != nullptr) c->inc(obs::Counter::kReplInvalidations);
+    return true;
   }
 
-  /// Owner-side refresh: copy the current master into `slot`'s replica.
-  /// ReplHub invokes this when the posted update reaches the slot; also
-  /// the recovery path for a replica found stale by other means. Takes the
-  /// master mutex (booked on the slot) — propagation, not the read path.
-  void pull(std::uint32_t slot) {
-    if (counters_[slot] != nullptr) {
-      counters_[slot]->inc(obs::Counter::kLocksTaken);
-    }
-    std::lock_guard<std::mutex> lock(master_mutex_);
-    store_words(*replicas_[slot], master_,
-                version_.load(std::memory_order_relaxed));
-  }
-
-  /// Master version (writes so far). Relaxed: use for staleness probes.
+  /// Publishes so far. Relaxed: use for staleness probes.
   std::uint64_t version() const {
-    return version_.load(std::memory_order_relaxed);
-  }
-
-  /// The version a slot's replica last applied.
-  std::uint64_t replica_version(std::uint32_t slot) const {
-    return replicas_[slot]->version.load(std::memory_order_relaxed);
+    return seq_.load(std::memory_order_relaxed) / 2;
   }
 
  private:
@@ -239,49 +125,51 @@ class Replicated {
 
   static constexpr std::size_t kWords = (sizeof(T) + 7) / 8;
 
-  /// One slot's replica: the sequence word and the payload share the
-  /// slot-private line(s); nothing here is written by remote readers.
-  struct alignas(kHostCacheLine) Replica {
-    std::atomic<std::uint32_t> seq{0};
-    std::atomic<std::uint64_t> version{0};
-    std::array<std::atomic<std::uint64_t>, kWords> words{};
-  };
-
-  /// Seqlock write: callers hold master_mutex_, so `seq` moves odd->even
-  /// under exactly one thread at a time; readers key off the parity.
-  static void store_words(Replica& r, const T& value, std::uint64_t v) {
+  static std::array<std::uint64_t, kWords> to_words(const T& value) {
     std::array<std::uint64_t, kWords> w{};
     std::memcpy(w.data(), &value, sizeof(T));
-    const std::uint32_t s = r.seq.load(std::memory_order_relaxed);
-    r.seq.store(s + 1, std::memory_order_relaxed);
+    return w;
+  }
+
+  T load_words() const {
+    std::array<std::uint64_t, kWords> w;
+    for (std::size_t i = 0; i < kWords; ++i) {
+      w[i] = words_[i].load(std::memory_order_relaxed);
+    }
+    T out;
+    // T is trivially copyable (asserted above); only its default member
+    // initializers make GCC's -Wclass-memaccess call it non-trivial.
+    std::memcpy(static_cast<void*>(&out), w.data(), sizeof(T));
+    return out;
+  }
+
+  /// Seqlock publish: the single writer moves `seq_` odd, stores the
+  /// words, and moves it even again; readers key off the parity.
+  void store_words(const T& value) {
+    const auto w = to_words(value);
+    const std::uint32_t s = seq_.load(std::memory_order_relaxed);
+    seq_.store(s + 1, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_release);
     for (std::size_t i = 0; i < kWords; ++i) {
-      r.words[i].store(w[i], std::memory_order_relaxed);
+      words_[i].store(w[i], std::memory_order_relaxed);
     }
-    r.version.store(v, std::memory_order_relaxed);
-    r.seq.store(s + 2, std::memory_order_release);
+    seq_.store(s + 2, std::memory_order_release);
   }
 
-  mutable std::mutex master_mutex_;
-  T master_;
-  std::atomic<std::uint64_t> version_{0};
-  std::uint32_t slots_;
-  std::vector<Replica*> replicas_;  // arena- or heap_-backed
-  std::unique_ptr<Replica[]> heap_;   // fallback storage (no arena)
-  std::vector<obs::SlotCounters*> counters_;
-  Propagator propagator_;
+  std::atomic<std::uint32_t> seq_{0};
+  std::array<std::atomic<std::uint64_t>, kWords> words_{};
 };
 
-/// White-box hook for the retry-bound tests: parks a replica in the
-/// mid-update (odd sequence) state and releases it again. Test-only.
+/// White-box hook for the retry-bound tests: parks the record in the
+/// mid-publish (odd sequence) state and releases it again. Test-only.
 struct ReplicatedTestAccess {
   template <typename T>
-  static void begin_stall(Replicated<T>& r, std::uint32_t slot) {
-    r.replicas_[slot]->seq.fetch_add(1, std::memory_order_release);
+  static void begin_stall(Replicated<T>& r) {
+    r.seq_.fetch_add(1, std::memory_order_release);
   }
   template <typename T>
-  static void end_stall(Replicated<T>& r, std::uint32_t slot) {
-    r.replicas_[slot]->seq.fetch_add(1, std::memory_order_release);
+  static void end_stall(Replicated<T>& r) {
+    r.seq_.fetch_add(1, std::memory_order_release);
   }
 };
 

@@ -3,10 +3,12 @@
 // modelled by a sim::SimSeqlockReplica (the timeline seqlock cost model),
 // carrying a functional value of type T with two generations — the value a
 // reader earlier than the in-flight publish window sees, and the value a
-// reader past it applies. Mirrors repl::Replicated<T> on the host runtime:
-// reads are lock-free and slot-local, writes are serialized by the caller
-// (the service's existing master lock) and propagated to every CPU's
-// update queue at the writer's expense.
+// reader past it applies. Reads are lock-free and slot-local, writes are
+// serialized by the caller (the service's existing master lock) and
+// propagated to every CPU's update queue at the writer's expense. Hector
+// has no cache coherence, so a copy per CPU is the only way to keep reads
+// node-local; the coherent host reads one owner-written record in place
+// instead (repl::Replicated<T>).
 #pragma once
 
 #include <type_traits>

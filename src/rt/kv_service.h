@@ -15,13 +15,12 @@
 
 #include <algorithm>
 #include <array>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "common/assert.h"
-#include "repl/repl_hub.h"
+#include "obs/trace.h"
 #include "repl/replicated.h"
 #include "rt/dispatch.h"
 #include "rt/runtime.h"
@@ -36,10 +35,14 @@ enum KvOp : Word {
   kKvOwnerOf = 5, // w[0]=key            -> w[1]=owning program
 };
 
-/// Fixed capacity of the replicated hot set. Sized so HotSet stays within
+/// Fixed per-owner capacity of the hot set. Sized so HotSet stays within
 /// the Replicated<T> small-payload bound (256 bytes); the config capacity
 /// is clamped to this.
 inline constexpr std::size_t kKvHotSetCapacity = 8;
+
+/// Hot-set election period: once per this many ops an owner serves, its
+/// hottest non-members may displace its weakest members (one publish).
+inline constexpr std::uint32_t kKvHotEpochOps = 4096;
 
 /// Chunk stride of the vectored stubs (multi_put / multi_get): one chunk =
 /// one stack RegSet array, one batched submission (one claim CAS + one
@@ -53,13 +56,15 @@ struct KvServiceConfig {
   std::size_t shard_capacity = 1024;
   /// When set, only the creating program may erase an entry.
   bool enforce_ownership = true;
-  /// Replicate a read-mostly hot set of entries per slot
-  /// (repl::Replicated, propagated through the xcall rings by a ReplHub):
-  /// get_remote consults the caller's local seqlock replica first and only
-  /// falls back to the owner's xcall channel on a miss — the same
+  /// Entries per owner slot in its hot set: a repl::Replicated record
+  /// that only the owner writes and every caller reads in place.
+  /// get_remote/multi_get answer a member from it with no lock and no
+  /// xcall, and take the owner's channel only on a miss — the same
   /// un-saturation the file server's replicated record block buys on the
-  /// simulated facility. Entries are admitted write-through on put while
-  /// space remains. 0 disables; clamped to kKvHotSetCapacity.
+  /// simulated facility. Puts admit write-through while there is room;
+  /// after that the owner counts the keys it serves and re-elects its
+  /// hottest once per kKvHotEpochOps. 0 disables; clamped to
+  /// kKvHotSetCapacity.
   std::size_t replicated_hot_capacity = 0;
 };
 
@@ -75,13 +80,14 @@ class KvService {
       shard->entries.resize(cfg_.shard_capacity);
     }
     if (cfg_.replicated_hot_capacity > 0) {
-      hot_cap_ = std::min(cfg_.replicated_hot_capacity, kKvHotSetCapacity);
-      // Replicas live in the runtime arena, each on its reading slot's node.
-      hot_ = std::make_unique<repl::Replicated<HotSet>>(
-          rt_.slots(), HotSet{}, &rt_.arena(),
-          [this](std::uint32_t s) { return rt_.node_of_slot(s); });
-      hub_ = std::make_unique<repl::ReplHub>(rt_, cfg_.name + "-repl");
-      hub_->manage(*hot_);
+      hot_cap_ = static_cast<std::uint32_t>(
+          std::min(cfg_.replicated_hot_capacity, kKvHotSetCapacity));
+      // Each owner's record lives in the runtime arena on its node.
+      for (SlotId s = 0; s < rt_.slots(); ++s) {
+        hot_.push_back(rt_.arena().create<repl::Replicated<HotSet>>(
+            rt_.node_of_slot(s)));
+        counters_.push_back(&rt_.slot_counters(s));
+      }
     }
     ep_ = rt_.bind({.name = cfg_.name}, /*program=*/0,
                    [this](RtCtx& ctx, RegSet& regs) { init(ctx, regs); });
@@ -134,15 +140,16 @@ class KvService {
 
   std::optional<Word> get_remote(SlotId caller_slot, SlotId owner_slot,
                                  ProgramId caller, Word key) {
-    // Replicated fast path: consult the caller's own seqlock replica of the
-    // hot set — no lock, no xcall, no remote lines. A miss (cold key, or an
-    // entry the hot set never admitted) falls through to the owner.
-    if (hot_ != nullptr) {
-      const HotSet h = hot_->read(caller_slot);
-      const std::uint32_t i = hot_index(h, key);
-      if (i != kHotMiss) {
-        note_repl_hit(caller_slot, key);
-        return h.e[i].value;
+    // Hot-set fast path: read the owner's record in place — no lock, no
+    // xcall. A non-member (or a read that met a stalled publish) falls
+    // through to the owner, which is always correct.
+    if (!hot_.empty()) {
+      if (const auto h = hot_[owner_slot]->read(counters_[caller_slot])) {
+        const std::uint32_t i = hot_index(*h, key);
+        if (i != kHotMiss) {
+          note_repl_hit(caller_slot, key);
+          return h->value[i];
+        }
       }
     }
     RegSet r;
@@ -180,11 +187,10 @@ class KvService {
     return overall;
   }
 
-  /// Vectored read: out[i] = value of keys[i] (nullopt on miss). Keys the
-  /// caller's replicated hot-set replica already holds are answered
-  /// locally from one snapshot of it taken per call; only the misses ride
-  /// the batched xcall. Returns the number of keys found. `out.size()`
-  /// must be >= `keys.size()`.
+  /// Vectored read: out[i] = value of keys[i] (nullopt on miss). Members
+  /// of the owner's hot set are answered from one snapshot of its record
+  /// taken per call; only the misses ride the batched xcall. Returns the
+  /// number of keys found. `out.size()` must be >= `keys.size()`.
   std::size_t multi_get(SlotId caller_slot, SlotId owner_slot,
                         ProgramId caller, std::span<const Word> keys,
                         std::span<std::optional<Word>> out) {
@@ -207,13 +213,16 @@ class KvService {
       }
       pending = 0;
     };
-    // One lock-free replica read serves every key of the call (empty, and
+    // One lock-free record read serves every key of the call (empty, and
     // never probed, when the hot set is off); hot hits never touch the ring.
-    const HotSet h = hot_ != nullptr ? hot_->read(caller_slot) : HotSet{};
+    const HotSet h =
+        hot_.empty() ? HotSet{}
+                     : hot_[owner_slot]->read(counters_[caller_slot])
+                           .value_or(HotSet{});
     for (std::size_t idx = 0; idx < keys.size(); ++idx) {
       const std::uint32_t j = hot_index(h, keys[idx]);
       if (j != kHotMiss) {
-        out[idx] = h.e[j].value;
+        out[idx] = h.value[j];
         ++hits;
         note_repl_hit(caller_slot, keys[idx]);
         continue;
@@ -229,30 +238,37 @@ class KvService {
   }
 
  private:
+  /// One shard slot. The hot-set bookkeeping rides in what would be
+  /// padding: whether the key is a member of its owner's hot set, and its
+  /// exact served count in the epoch named by a 6-bit tag (a stale tag
+  /// reads as zero).
   struct Entry {
     Word key = 0;
     Word value = 0;
     ProgramId owner = 0;
-    bool used = false;
+    std::uint32_t used : 1 = 0;
+    std::uint32_t hot : 1 = 0;
+    std::uint32_t epoch : 6 = 0;
+    std::uint32_t hits : 16 = 0;
   };
+  static_assert(sizeof(Entry) == 16, "hot-set counts must fit the padding");
+  static_assert(kKvHotEpochOps <= 0xFFFF, "an epoch's hits fit 16 bits");
 
-  /// The replicated hot set: a fixed, trivially-copyable record small
-  /// enough for a per-slot seqlock replica. Admission is write-through on
-  /// put while slots remain; eviction only on erase. Only a put that admits
-  /// a key or changes an admitted value, and an erase that removes an
-  /// entry, publish to the other slots; every other put takes the master
-  /// mutex, finds nothing to change and publishes nothing.
-  struct HotEntry {
-    Word key = 0;
-    Word value = 0;
-    std::uint32_t used = 0;
-  };
+  /// An owner's hot set, published whole through its Replicated record:
+  /// members are key[0..n), compact, in no particular order.
   struct HotSet {
     std::uint32_t n = 0;
-    std::array<HotEntry, kKvHotSetCapacity> e{};
+    std::array<Word, kKvHotSetCapacity> key{};
+    std::array<Word, kKvHotSetCapacity> value{};
   };
 
-  /// Ctx-carrying breadcrumb for a replica answer: the one hop a remote-get
+  /// A non-member in the running top-k of this epoch (hits 0 = empty).
+  struct Candidate {
+    Word key = 0;
+    std::uint32_t hits = 0;
+  };
+
+  /// Ctx-carrying breadcrumb for a hot-set answer: the one hop a remote-get
   /// trace would otherwise lose entirely (no ring, no server span). Shows up
   /// in the chrome export as an instant on the caller's track tagged with
   /// the live trace id.
@@ -273,50 +289,112 @@ class KvService {
 
   static constexpr std::uint32_t kHotMiss = ~0u;
 
-  /// Index of `key`'s admitted entry in `h`, or kHotMiss.
-  std::uint32_t hot_index(const HotSet& h, Word key) const {
-    for (std::uint32_t i = 0; i < hot_cap_; ++i) {
-      if (h.e[i].used != 0 && h.e[i].key == key) return i;
+  /// Index of `key` among `h`'s members, or kHotMiss.
+  static std::uint32_t hot_index(const HotSet& h, Word key) {
+    for (std::uint32_t i = 0; i < h.n; ++i) {
+      if (h.key[i] == key) return i;
     }
     return kHotMiss;
   }
 
-  // A same-value rewrite, a key the full set never admitted and an erase
-  // of a key it does not hold leave the hot set's bytes unchanged, so
-  // Replicated::write publishes nothing for them.
-  void hot_put(std::uint32_t writer_slot, Word key, Word value) {
-    hot_->write(writer_slot, [&](HotSet& h) {
-      const std::uint32_t i = hot_index(h, key);
-      if (i != kHotMiss) {
-        h.e[i].value = value;
-        return;
-      }
-      for (std::uint32_t j = 0; j < hot_cap_; ++j) {
-        if (h.e[j].used == 0) {
-          h.e[j] = HotEntry{key, value, 1};
-          ++h.n;
-          return;
-        }
-      }
-      // Hot set full: not admitted — gets for this key take the xcall path.
-    });
-  }
-
-  void hot_erase(std::uint32_t writer_slot, Word key) {
-    hot_->write(writer_slot, [&](HotSet& h) {
-      const std::uint32_t i = hot_index(h, key);
-      if (i == kHotMiss) return;
-      h.e[i] = HotEntry{};
-      --h.n;
-    });
-  }
-
-  /// One slot's shard: touched only by that slot's thread on the fast path.
+  /// One slot's shard: touched only by the thread holding that slot (its
+  /// poller or a gate thief), which is also the only writer of the slot's
+  /// hot-set record.
   struct Shard {
     std::vector<Entry> entries;
     std::size_t size = 0;
     std::uint32_t inits = 0;
+    // Hot-set election state, owner-private. `hot` is the authoritative
+    // copy that publish() copies into the record; admitted[i] is member
+    // i's count when it was admitted (its gets no longer reach the owner).
+    HotSet hot;
+    std::array<std::uint16_t, kKvHotSetCapacity> admitted{};
+    std::array<Candidate, kKvHotSetCapacity> top{};
+    std::uint32_t served = 0;  // ops served this epoch
+    std::uint32_t epoch = 0;
   };
+
+  /// Copy the owner's hot set into its record; a no-op if nothing changed.
+  void publish(SlotId slot, Shard& shard) {
+    if (hot_[slot]->write(counters_[slot],
+                          [&](HotSet& h) { h = shard.hot; })) {
+      HPPC_TRACE_EVENT(rt_.trace_ring(slot), obs::host_trace_now(), slot,
+                       obs::TraceEvent::kReplPublish, shard.hot.n);
+    }
+  }
+
+  /// Make `e` member `i` (append when i == n), admitted with `hits`.
+  void admit(Shard& shard, std::uint32_t i, Entry& e, std::uint32_t hits) {
+    if (i == shard.hot.n) ++shard.hot.n;
+    shard.hot.key[i] = e.key;
+    shard.hot.value[i] = e.value;
+    shard.admitted[i] = static_cast<std::uint16_t>(hits);
+    e.hot = 1;
+  }
+
+  /// Drop member `i`: the last member takes its place.
+  static void drop_member(Shard& shard, std::uint32_t i) {
+    const std::uint32_t last = --shard.hot.n;
+    shard.hot.key[i] = shard.hot.key[last];
+    shard.hot.value[i] = shard.hot.value[last];
+    shard.admitted[i] = shard.admitted[last];
+  }
+
+  /// Count one served op on a non-member and keep it in the running
+  /// top-k if it now ranks there. Returns its count this epoch.
+  std::uint32_t count_hit(Shard& shard, Entry& e) {
+    const std::uint32_t tag = shard.epoch & 63u;
+    if (e.epoch != tag) {
+      e.epoch = tag;
+      e.hits = 0;
+    }
+    const std::uint32_t hits = ++e.hits;
+    Candidate* low = &shard.top[0];
+    for (std::uint32_t i = 0; i < hot_cap_; ++i) {
+      Candidate& c = shard.top[i];
+      if (c.hits != 0 && c.key == e.key) {
+        c.hits = hits;
+        return hits;
+      }
+      if (c.hits < low->hits) low = &c;
+    }
+    if (hits > low->hits) *low = Candidate{e.key, hits};
+    return hits;
+  }
+
+  /// End of an op the owner served: once per epoch, let the strongest
+  /// candidates displace the members with the lowest admission counts,
+  /// each only if it beats that count by more than a quarter plus one,
+  /// and publish the result once.
+  void tick_epoch(SlotId slot, Shard& shard) {
+    if (++shard.served < kKvHotEpochOps) return;
+    auto& top = shard.top;
+    std::sort(top.begin(), top.begin() + hot_cap_,
+              [](const Candidate& a, const Candidate& b) {
+                return a.hits > b.hits;
+              });
+    for (std::uint32_t k = 0; k < hot_cap_ && top[k].hits != 0; ++k) {
+      Entry* e = find(shard, top[k].key);
+      if (e == nullptr || e->hot) continue;  // erased, or admitted since
+      std::uint32_t i = shard.hot.n;
+      if (i == hot_cap_) {
+        i = static_cast<std::uint32_t>(
+            std::min_element(shard.admitted.begin(),
+                             shard.admitted.begin() + hot_cap_) -
+            shard.admitted.begin());
+        const std::uint32_t lo = shard.admitted[i];
+        if (top[k].hits <= lo + lo / 4 + 1) break;  // weaker ones lose too
+        Entry* evicted = find(shard, shard.hot.key[i]);
+        HPPC_ASSERT(evicted != nullptr);
+        evicted->hot = 0;
+      }
+      admit(shard, i, *e, top[k].hits);
+    }
+    top = {};
+    shard.served = 0;
+    ++shard.epoch;
+    publish(slot, shard);
+  }
 
   Entry* find(Shard& shard, Word key) {
     const std::size_t start = key % shard.entries.size();
@@ -376,23 +454,43 @@ class KvService {
       return;
     }
     if (!e->used) {
-      e->used = true;
-      e->key = regs[0];
-      e->owner = ctx.caller_program();
+      *e = Entry{.key = regs[0], .owner = ctx.caller_program(), .used = 1};
       ++shard.size;
     }
     e->value = regs[1];
-    if (hot_ != nullptr) hot_put(ctx.slot(), regs[0], regs[1]);
+    if (!hot_.empty()) hot_put(ctx.slot(), shard, *e);
     ppc::set_rc(regs, Status::kOk);
   }
 
+  /// A member's put publishes only a changed value (publish() compares).
+  /// A non-member's is counted, and admits it write-through while the set
+  /// has room.
+  void hot_put(SlotId slot, Shard& shard, Entry& e) {
+    if (e.hot) {
+      shard.hot.value[hot_index(shard.hot, e.key)] = e.value;
+      publish(slot, shard);
+    } else {
+      const std::uint32_t hits = count_hit(shard, e);
+      if (shard.hot.n < hot_cap_) {
+        admit(shard, shard.hot.n, e, hits);
+        publish(slot, shard);
+      }
+    }
+    tick_epoch(slot, shard);
+  }
+
   void do_get(RtCtx& ctx, RegSet& regs) {
-    Entry* e = find(*shards_[ctx.slot()], regs[0]);
+    Shard& shard = *shards_[ctx.slot()];
+    Entry* e = find(shard, regs[0]);
     if (e == nullptr) {
       ppc::set_rc(regs, Status::kInvalidArgument);
       return;
     }
     regs[1] = e->value;
+    if (!hot_.empty()) {
+      if (!e->hot) count_hit(shard, *e);
+      tick_epoch(ctx.slot(), shard);
+    }
     ppc::set_rc(regs, Status::kOk);
   }
 
@@ -407,6 +505,8 @@ class KvService {
       ppc::set_rc(regs, Status::kPermissionDenied);
       return;
     }
+    const bool was_hot = e->hot;
+    if (was_hot) drop_member(shard, hot_index(shard.hot, regs[0]));
     // Tombstone-free removal: backward-shift the probe chain so that later
     // entries whose home slot precedes the hole stay reachable.
     const std::size_t cap = shard.entries.size();
@@ -429,7 +529,7 @@ class KvService {
         hole = j;
       }
     }
-    if (hot_ != nullptr) hot_erase(ctx.slot(), regs[0]);
+    if (was_hot) publish(ctx.slot(), shard);
     ppc::set_rc(regs, Status::kOk);
   }
 
@@ -438,8 +538,9 @@ class KvService {
   std::vector<CacheAligned<Shard>> shards_;
   EntryPointId ep_ = kInvalidEntryPoint;
   std::uint32_t hot_cap_ = 0;
-  std::unique_ptr<repl::Replicated<HotSet>> hot_;
-  std::unique_ptr<repl::ReplHub> hub_;
+  // Per owner slot, arena-placed; both empty when the hot set is off.
+  std::vector<repl::Replicated<HotSet>*> hot_;
+  std::vector<obs::SlotCounters*> counters_;
 };
 
 }  // namespace hppc::rt

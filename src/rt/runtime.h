@@ -389,8 +389,8 @@ class Runtime {
 
   /// The runtime's hugepage-first, node-local arena. Every hot per-slot
   /// structure — rings, CD stacks, wait blocks, histogram blocks — lives
-  /// here, on its slot's node. Layers above (KvService's replicated hot
-  /// set) may co-locate their own slot structures through this.
+  /// here, on its slot's node. Layers above (KvService's per-owner hot-set
+  /// records) may co-locate their own slot structures through this.
   mem::Arena& arena() { return arena_; }
 
   /// Arena gauges (also overlaid into snapshot() as the arena_* counters).
@@ -551,9 +551,10 @@ class Runtime {
   const obs::SlotCounters& counters(SlotId slot) const;
 
   /// Writable view of a slot's counter block, for slot-local layers built
-  /// on top of the runtime (repl::ReplHub wires Replicated<T> reads into
-  /// it). The single-writer discipline is the caller's contract: only the
-  /// slot's current ownership holder may increment through this.
+  /// on top of the runtime (KvService books its hot-set reads on the
+  /// reading slot's block and its publishes on the owner's). The
+  /// single-writer discipline is the caller's contract: only the slot's
+  /// current ownership holder may increment through this.
   obs::SlotCounters& slot_counters(SlotId slot);
 
   /// Counters for off-slot slow paths (bind, kill, cross-slot post).
@@ -650,8 +651,9 @@ class Runtime {
     SlotGate gate;        // remote-CASed: keep off the hot members' lines
     // Per-producer xcall channels, indexed by the PRODUCER's slot id: each
     // (src, dst) pair gets its own ring, so concurrent posters to one slot
-    // never CAS the same enqueue cursor (the rings stay MPSC internally
-    // because layers like repl::ReplHub post with a shared caller slot).
+    // never CAS the same enqueue cursor (the rings stay MPSC internally:
+    // the claim is a CAS, so two threads posting under one caller slot —
+    // a thread that owns no slot names one — still cannot collide).
     // Allocated once at construction from the arena, on this slot's node:
     // the consumer-side cells of every (src, this) channel sit in the
     // consumer's local memory — the paper's "structures live on the

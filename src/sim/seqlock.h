@@ -7,8 +7,9 @@
 // storing the payload and flipping the queue's sequence word on every
 // CPU's record (remote uncached stores, paid by the writer); each owner
 // applies the pending update the next time it reads (local uncached
-// accesses, paid by the reader) — the simulated analogue of ReplHub's
-// xcall nudges on the host runtime.
+// accesses, paid by the reader). The cache-coherent host needs none of
+// this: there one owner-written record is read in place
+// (repl::Replicated).
 //
 // The model follows sim/spinlock.h's timeline idiom: the writer's stores
 // open a publish window [window_start, window_end) on the replica; a

@@ -1,20 +1,16 @@
-// repl::Replicated<T>: the host seqlock replica primitive, and ReplHub's
-// propagation of writes through the runtime's xcall rings.
+// repl::Replicated<T>: the host's single-writer seqlock record, written by
+// one owner and read in place by any thread.
 #include "repl/replicated.h"
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
+#include <optional>
 #include <thread>
-#include <utility>
-#include <vector>
 
 #include "obs/counters.h"
-#include "repl/repl_hub.h"
-#include "rt/runtime.h"
 
 namespace hppc::repl {
 namespace {
@@ -22,63 +18,62 @@ namespace {
 using obs::Counter;
 
 TEST(Replicated, InitialValueOnEverySlot) {
-  Replicated<std::uint64_t> val(4, 7);
-  for (std::uint32_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(val.read(s), 7u);
-    EXPECT_EQ(val.replica_version(s), 0u);
-  }
+  // Every reader, whatever its counter block, sees the initial value of
+  // the one record; nothing has been published yet.
+  Replicated<std::uint64_t> val(7);
+  std::array<obs::SlotCounters, 4> c;
+  for (auto& block : c) EXPECT_EQ(val.read(&block), std::optional<std::uint64_t>(7));
+  EXPECT_EQ(val.read(), std::optional<std::uint64_t>(7));
   EXPECT_EQ(val.version(), 0u);
 }
 
 TEST(Replicated, InlineWritePublishesEveryReplica) {
-  // Without a propagator the writer refreshes all replicas itself.
-  Replicated<std::uint64_t> val(4, 1);
-  val.write(2, [](std::uint64_t& v) { v = 9; });
-  for (std::uint32_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(val.read(s), 9u);
-    EXPECT_EQ(val.replica_version(s), 1u);
-  }
+  // The owner's write publishes inline: the next read from any thread
+  // sees it, with no propagation step in between.
+  Replicated<std::uint64_t> val(1);
+  EXPECT_TRUE(val.write(nullptr, [](std::uint64_t& v) { v = 9; }));
+  std::uint64_t seen = 0;
+  std::thread other([&] { seen = val.read().value_or(0); });
+  other.join();
+  EXPECT_EQ(seen, 9u);
+  EXPECT_EQ(val.read(), std::optional<std::uint64_t>(9));
   EXPECT_EQ(val.version(), 1u);
 }
 
 TEST(Replicated, CountersBookReadsAndWrites) {
-  Replicated<std::uint64_t> val(2, 0);
-  obs::SlotCounters c0, c1;
-  val.attach_counters(0, &c0);
-  val.attach_counters(1, &c1);
+  Replicated<std::uint64_t> val(0);
+  obs::SlotCounters reader, owner;
 
-  EXPECT_EQ(val.read(0), 0u);
-  EXPECT_EQ(c0.get(Counter::kReplReads), 1u);
-  EXPECT_EQ(c0.get(Counter::kReplSeqRetries), 0u);
-  EXPECT_EQ(c0.get(Counter::kLocksTaken), 0u);  // the read path is lock-free
-  EXPECT_EQ(c0.get(Counter::kSharedLinesTouched), 0u);
+  EXPECT_EQ(val.read(&reader), std::optional<std::uint64_t>(0));
+  EXPECT_EQ(reader.get(Counter::kReplReads), 1u);
+  EXPECT_EQ(reader.get(Counter::kReplSeqRetries), 0u);
+  EXPECT_EQ(reader.get(Counter::kLocksTaken), 0u);  // the read is lock-free
+  EXPECT_EQ(reader.get(Counter::kSharedLinesTouched), 0u);
 
-  val.write(1, [](std::uint64_t& v) { v = 5; });
-  EXPECT_EQ(c1.get(Counter::kReplInvalidations), 2u);  // both replicas
-  EXPECT_EQ(c1.get(Counter::kLocksTaken), 1u);         // the master mutex
-  EXPECT_EQ(c1.get(Counter::kSharedLinesTouched), 1u);  // slot 0's line
-  EXPECT_EQ(c0.get(Counter::kLocksTaken), 0u);
+  val.write(&owner, [](std::uint64_t& v) { v = 5; });
+  EXPECT_EQ(owner.get(Counter::kReplInvalidations), 1u);  // one publish
+  EXPECT_EQ(owner.get(Counter::kLocksTaken), 0u);  // and no mutex
+  EXPECT_EQ(reader.get(Counter::kReplInvalidations), 0u);
 }
 
-TEST(Replicated, RetryBoundFallsBackToLockedMaster) {
-  // Park the replica mid-update (odd sequence word): the reader must not
-  // spin forever — after kMaxSeqRetries it reads the master under its lock.
-  Replicated<std::uint64_t> val(1, 7);
+TEST(Replicated, RetryBoundReportsAMiss) {
+  // Park the record mid-publish (odd sequence word): the reader must not
+  // spin forever — after kMaxSeqRetries it reports a miss, and the caller
+  // answers some other way. No lock is taken.
+  Replicated<std::uint64_t> val(7);
   obs::SlotCounters c;
-  val.attach_counters(0, &c);
 
-  ReplicatedTestAccess::begin_stall(val, 0);
-  EXPECT_EQ(val.read(0), 7u);  // correct value, via the fallback
+  ReplicatedTestAccess::begin_stall(val);
+  EXPECT_EQ(val.read(&c), std::nullopt);
   EXPECT_EQ(c.get(Counter::kReplFallbackLocked), 1u);
-  EXPECT_EQ(c.get(Counter::kLocksTaken), 1u);
+  EXPECT_EQ(c.get(Counter::kLocksTaken), 0u);
   EXPECT_EQ(c.get(Counter::kReplSeqRetries),
             static_cast<std::uint64_t>(kMaxSeqRetries));
   EXPECT_EQ(c.get(Counter::kReplReads), 1u);
 
-  ReplicatedTestAccess::end_stall(val, 0);
-  EXPECT_EQ(val.read(0), 7u);  // lock-free again
+  ReplicatedTestAccess::end_stall(val);
+  EXPECT_EQ(val.read(&c), std::optional<std::uint64_t>(7));
   EXPECT_EQ(c.get(Counter::kReplFallbackLocked), 1u);
-  EXPECT_EQ(c.get(Counter::kLocksTaken), 1u);
   EXPECT_EQ(c.get(Counter::kReplReads), 2u);
 }
 
@@ -88,15 +83,16 @@ struct Pair {
 };
 
 TEST(Replicated, TornReadsNeverObserved) {
-  // A writer hammers {a, ~a} pairs while a reader validates the invariant
-  // on every read: any torn copy (half old, half new) breaks it. Run under
-  // TSan this also proves the seqlock protocol is data-race-free.
-  Replicated<Pair> val(2);
+  // The owner hammers {a, ~a} pairs while a reader validates the invariant
+  // on every consistent read: any torn copy (half old, half new) breaks
+  // it. Run under TSan this also proves the seqlock protocol is
+  // data-race-free.
+  Replicated<Pair> val;
   std::atomic<bool> done{false};
 
   std::thread writer([&] {
     for (std::uint64_t i = 1; i <= 20000; ++i) {
-      val.write(1, [i](Pair& p) {
+      val.write(nullptr, [i](Pair& p) {
         p.a = i;
         p.b = ~i;
       });
@@ -106,164 +102,50 @@ TEST(Replicated, TornReadsNeverObserved) {
 
   std::uint64_t reads = 0;
   while (!done.load(std::memory_order_acquire)) {
-    const Pair p = val.read(0);
-    ASSERT_EQ(p.b, ~p.a) << "torn read after " << reads << " reads";
+    const std::optional<Pair> p = val.read();
+    if (!p) continue;  // met a publish eight times in a row: a miss
+    ASSERT_EQ(p->b, ~p->a) << "torn read after " << reads << " reads";
     ++reads;
   }
   writer.join();
-  const Pair last = val.read(0);
-  EXPECT_EQ(last.a, 20000u);
-  EXPECT_EQ(last.b, ~std::uint64_t{20000});
-}
-
-TEST(Replicated, PropagatorReplacesInlinePublish) {
-  Replicated<std::uint64_t> val(4, 1);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> posts;
-  val.set_propagator([&](std::uint32_t writer, std::uint32_t target,
-                         std::uint64_t version) {
-    posts.emplace_back(writer, target);
-    EXPECT_EQ(version, 1u);
-  });
-
-  val.write(1, [](std::uint64_t& v) { v = 2; });
-  ASSERT_EQ(posts.size(), 3u);  // every slot but the writer
-  for (const auto& [w, t] : posts) {
-    EXPECT_EQ(w, 1u);
-    EXPECT_NE(t, 1u);
-  }
-  EXPECT_EQ(val.read(1), 2u);             // writer's replica: inline
-  EXPECT_EQ(val.read(0), 1u);             // not yet pulled: bounded-stale
-  EXPECT_EQ(val.replica_version(0), 0u);
-  val.pull(0);
-  EXPECT_EQ(val.read(0), 2u);
-  EXPECT_EQ(val.replica_version(0), 1u);
+  const std::optional<Pair> last = val.read();
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->a, 20000u);
+  EXPECT_EQ(last->b, ~std::uint64_t{20000});
+  EXPECT_EQ(val.version(), 20000u);
 }
 
 TEST(Replicated, UnchangedWritePublishesNothing) {
-  // A mutate that leaves the master unchanged: the write takes (and books)
-  // the mutex, then returns — no version bump, no replica store, no
-  // propagator call, no invalidation.
-  Replicated<std::uint64_t> val(4, 1);
-  std::array<obs::SlotCounters, 4> c;
-  for (std::uint32_t s = 0; s < 4; ++s) val.attach_counters(s, &c[s]);
-  int propagated = 0;
-  val.set_propagator(
-      [&](std::uint32_t, std::uint32_t, std::uint64_t) { ++propagated; });
-  val.write(1, [](std::uint64_t& v) { v = 2; });
-  for (std::uint32_t s = 0; s < 4; ++s) {
-    if (s != 1) val.pull(s);  // every replica current at version 1
-  }
-  ASSERT_EQ(propagated, 3);
-  const auto before = c[1].snapshot();
+  // A mutate that leaves the record's bytes as they were returns without
+  // touching the sequence word: no version bump, no invalidation.
+  Replicated<std::uint64_t> val(1);
+  obs::SlotCounters c;
+  ASSERT_TRUE(val.write(&c, [](std::uint64_t& v) { v = 2; }));
+  const auto before = c.snapshot();
 
-  val.write(1, [](std::uint64_t& v) { v = 2; });  // same-value rewrite
-  val.write(kNoSlot, [](std::uint64_t&) {});
+  EXPECT_FALSE(val.write(&c, [](std::uint64_t& v) { v = 2; }));
+  EXPECT_FALSE(val.write(&c, [](std::uint64_t&) {}));
   EXPECT_EQ(val.version(), 1u);
-  for (std::uint32_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(val.replica_version(s), 1u) << "slot " << s;
-    EXPECT_EQ(val.read(s), 2u);
-  }
-  EXPECT_EQ(propagated, 3);
-  const auto delta = c[1].snapshot().delta(before);
+  EXPECT_EQ(val.read(), std::optional<std::uint64_t>(2));
+  const auto delta = c.snapshot().delta(before);
   EXPECT_EQ(delta.get(Counter::kReplInvalidations), 0u);
-  EXPECT_EQ(delta.get(Counter::kSharedLinesTouched), 0u);
-  EXPECT_EQ(delta.get(Counter::kLocksTaken), 1u);  // the mutex was taken
+  EXPECT_EQ(delta.get(Counter::kLocksTaken), 0u);
 }
 
 TEST(Replicated, ChangedWritesPublishEverySlot) {
-  // Every write that changes the master publishes to every slot: inline
-  // without a propagator, through it with one.
-  Replicated<std::uint64_t> inline_val(3, 0);
-  obs::SlotCounters ci;
-  inline_val.attach_counters(0, &ci);
-  inline_val.write(0, [](std::uint64_t& v) { v = 5; });
-  inline_val.write(0, [](std::uint64_t& v) { v = 6; });
-  EXPECT_EQ(inline_val.version(), 2u);
-  for (std::uint32_t s = 0; s < 3; ++s) {
-    EXPECT_EQ(inline_val.replica_version(s), 2u);
-    EXPECT_EQ(inline_val.read(s), 6u);
+  // Every write that changes the record publishes exactly once, and
+  // readers on every slot see the latest value.
+  Replicated<std::uint64_t> val(0);
+  obs::SlotCounters owner;
+  std::array<obs::SlotCounters, 3> readers;
+  EXPECT_TRUE(val.write(&owner, [](std::uint64_t& v) { v = 5; }));
+  EXPECT_TRUE(val.write(&owner, [](std::uint64_t& v) { v = 6; }));
+  EXPECT_EQ(val.version(), 2u);
+  for (auto& r : readers) {
+    EXPECT_EQ(val.read(&r), std::optional<std::uint64_t>(6));
   }
-  EXPECT_EQ(ci.get(Counter::kReplInvalidations), 6u);
-  EXPECT_EQ(ci.get(Counter::kLocksTaken), 2u);
-
-  Replicated<std::uint64_t> val(3, 0);
-  obs::SlotCounters c;
-  val.attach_counters(2, &c);
-  std::vector<std::uint64_t> versions;
-  val.set_propagator([&](std::uint32_t, std::uint32_t, std::uint64_t v) {
-    versions.push_back(v);
-  });
-  val.write(2, [](std::uint64_t& v) { v = 5; });
-  val.write(2, [](std::uint64_t& v) { v = 6; });
-  EXPECT_EQ(versions, (std::vector<std::uint64_t>{1, 1, 2, 2}));
-  EXPECT_EQ(c.get(Counter::kReplInvalidations), 6u);
-  EXPECT_EQ(val.replica_version(2), 2u);  // the writer's own: inline
-}
-
-TEST(Replicated, UnchangedWriteCatchesUpALaggingWriterReplica) {
-  // Slot 1 changes the value; slot 2's refresh is still pending when slot
-  // 2 rewrites the same value. Nothing is published, but slot 2's own
-  // replica catches up so it reads what it just wrote.
-  Replicated<std::uint64_t> val(4, 1);
-  obs::SlotCounters c2;
-  val.attach_counters(2, &c2);
-  int propagated = 0;
-  val.set_propagator(
-      [&](std::uint32_t, std::uint32_t, std::uint64_t) { ++propagated; });
-  val.write(1, [](std::uint64_t& v) { v = 9; });
-  ASSERT_EQ(val.replica_version(2), 0u);
-
-  val.write(2, [](std::uint64_t& v) { v = 9; });  // same-value rewrite
-  EXPECT_EQ(val.version(), 1u);
-  EXPECT_EQ(propagated, 3);
-  EXPECT_EQ(val.read(2), 9u);
-  EXPECT_EQ(val.replica_version(2), 1u);
-  EXPECT_EQ(val.replica_version(0), 0u);  // still awaiting its refresh
-  EXPECT_EQ(c2.get(Counter::kReplInvalidations), 0u);
-  EXPECT_EQ(c2.get(Counter::kLocksTaken), 1u);
-}
-
-TEST(ReplHub, WriteBurstPostsOneNudgePerSlot) {
-  // Nudges are deduplicated per (object, slot): a burst of writes to a
-  // never-draining slot leaves exactly one cell in its ring.
-  rt::Runtime rt(2);
-  const rt::SlotId me = rt.register_thread();
-  Replicated<std::uint64_t> val(rt.slots(), 0);
-  ReplHub hub(rt);
-  hub.manage(val);
-
-  const auto before = rt.slot_snapshot(me);
-  for (std::uint64_t i = 1; i <= 16; ++i) {
-    val.write(me, [i](std::uint64_t& v) { v = i; });
-  }
-  const auto delta = rt.slot_snapshot(me).delta(before);
-  EXPECT_EQ(delta.get(Counter::kXcallPosts), 1u);
-  EXPECT_EQ(val.read(me), 16u);
-  // Slot 1 never drained: stale by the ring's liveness contract.
-  EXPECT_EQ(val.replica_version(1), 0u);
-}
-
-TEST(ReplHub, NudgeRefreshesOwnerAtDrain) {
-  rt::Runtime rt(2);
-  const rt::SlotId me = rt.register_thread();
-  Replicated<std::uint64_t> val(rt.slots(), 7);
-  ReplHub hub(rt);
-  hub.manage(val);
-
-  std::atomic<bool> stop{false};
-  std::thread owner([&] {
-    const rt::SlotId s = rt.register_thread();
-    rt.serve(s, stop);
-  });
-
-  val.write(me, [](std::uint64_t& v) { v = 42; });
-  for (int i = 0; i < 20000 && val.replica_version(1) < 1; ++i) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  stop.store(true, std::memory_order_release);
-  owner.join();
-  EXPECT_EQ(val.replica_version(1), 1u);
-  EXPECT_EQ(val.version(), 1u);
+  EXPECT_EQ(owner.get(Counter::kReplInvalidations), 2u);
+  EXPECT_EQ(owner.get(Counter::kLocksTaken), 0u);
 }
 
 }  // namespace

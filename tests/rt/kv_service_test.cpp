@@ -214,16 +214,16 @@ TEST(KvService, MultiPutMultiGetRideBatchedXcalls) {
 }
 
 TEST(KvService, MultiGetAnswersHotKeysLocallyAndBatchesOnlyMisses) {
-  // With the replicated hot set on, multi_get probes each key's replica
-  // first: hot keys never touch the ring, so a probe list that is half
-  // hot costs doorbells only for the cold half.
+  // With the hot set on, multi_get probes the owner's record first: hot
+  // keys never touch the ring, so a probe list that is half hot costs
+  // doorbells only for the cold half.
   Runtime rt(2);
   const SlotId me = rt.register_thread();
   KvService::Config cfg;
   cfg.replicated_hot_capacity = 8;
   KvService kv(rt, cfg);
   // Two hot keys, direct-executed on the unregistered owner's shard;
-  // write-through admits them, and the poll drains our refresh nudge.
+  // write-through admits them into its record (the poll finds nothing).
   ASSERT_EQ(kv.put_remote(me, 1, 1, 5, 500), Status::kOk);
   ASSERT_EQ(kv.put_remote(me, 1, 1, 6, 600), Status::kOk);
   rt.poll(me);
@@ -263,18 +263,18 @@ TEST(KvService, ReplicatedHotGetServesLocally) {
   KvService::Config cfg;
   cfg.replicated_hot_capacity = 8;
   KvService kv(rt, cfg);
-  // The put direct-executes on slot 1's shard (gate steal), write-through
-  // admits the key to the hot set, and a refresh nudge lands in our ring.
+  // The put direct-executes on slot 1's shard (gate steal) and
+  // write-through admits the key to slot 1's hot-set record.
   ASSERT_EQ(kv.put_remote(me, /*owner_slot=*/1, /*caller=*/1, 10, 111),
             Status::kOk);
-  rt.poll(me);  // drain the nudge: our replica refreshes
+  rt.poll(me);  // nothing to drain: the owner published in place
 
   const auto before = rt.slot_snapshot(me);
   auto v = kv.get_remote(me, 1, 1, 10);
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, 111u);
   const auto delta = rt.slot_snapshot(me).delta(before);
-  // Served entirely from this slot's replica: no xcall, no lock.
+  // Served entirely from the owner's record: no xcall, no lock.
   EXPECT_EQ(delta.get(obs::Counter::kCallsRemote), 0u);
   EXPECT_EQ(delta.get(obs::Counter::kXcallPosts), 0u);
   EXPECT_EQ(delta.get(obs::Counter::kLocksTaken), 0u);
@@ -309,7 +309,7 @@ TEST(KvService, ReplicatedHotEraseFallsBackToOwner) {
   r[0] = 10;
   ppc::set_op(r, kKvErase);
   ASSERT_EQ(rt.call_remote(me, 1, 1, kv.ep(), r), Status::kOk);
-  rt.poll(me);  // drain the erase's refresh nudge
+  rt.poll(me);  // nothing to drain: the erase published in place
   // Hot miss now falls through to the owner's shard, which says gone.
   EXPECT_FALSE(kv.get_remote(me, 1, 1, 10).has_value());
 }
@@ -324,7 +324,7 @@ TEST(KvService, ReplicatedHotMissUsesXcallPath) {
     ASSERT_EQ(kv.put_remote(me, 1, 1, k, k * 10), Status::kOk);
   }
   rt.poll(me);
-  // Every key still readable — admitted ones from the replica, the rest
+  // Every key still readable — admitted ones from the record, the rest
   // through the owner's xcall channel.
   for (Word k = 0; k < 6; ++k) {
     auto v = kv.get_remote(me, 1, 1, k);
@@ -335,7 +335,7 @@ TEST(KvService, ReplicatedHotMissUsesXcallPath) {
 
 /// Runs `body` against a busy-polling owner on slot 1 whose KvService has
 /// a full two-entry hot set: keys 1 and 2 (values 10 and 20) are admitted
-/// and the caller's replica has drained their refresh.
+/// and the caller reads key 2 from the owner's record.
 template <typename Body>
 void with_full_hot_set(Body body) {
   Runtime rt(2);
@@ -356,7 +356,7 @@ void with_full_hot_set(Body body) {
   [&] {  // a failed ASSERT returns here, so the owner is still joined
     ASSERT_EQ(kv.put_remote(me, 1, 1, 1, 10), Status::kOk);
     ASSERT_EQ(kv.put_remote(me, 1, 1, 2, 20), Status::kOk);
-    rt.poll(me);  // drain the admission refresh
+    rt.poll(me);  // nothing to drain: admission published in place
     ASSERT_EQ(kv.get_remote(me, 1, 1, 2), std::optional<Word>(20));
     body(rt, kv, me);
   }();
@@ -366,9 +366,9 @@ void with_full_hot_set(Body body) {
 
 TEST(KvService, UnchangedHotSetWritesPublishNothing) {
   // Puts the full hot set never admits, same-value rewrites of admitted
-  // keys and the erase of a key it does not hold change nothing
-  // replicated: each books the master mutex on the owner, and none
-  // invalidates a replica or leaves a refresh nudge in the caller's ring.
+  // keys and the erase of a key it does not hold change nothing in the
+  // owner's record: none publishes or takes a lock, and none leaves a
+  // cell in the caller's ring.
   with_full_hot_set([](Runtime& rt, KvService& kv, SlotId me) {
     const auto owner_before = rt.slot_snapshot(1);
     const auto me_before = rt.slot_snapshot(me);
@@ -381,14 +381,14 @@ TEST(KvService, UnchangedHotSetWritesPublishNothing) {
     r[0] = 3;
     ppc::set_op(r, kKvErase);
     ASSERT_EQ(rt.call_remote(me, 1, 1, kv.ep(), r), Status::kOk);
-    EXPECT_EQ(rt.poll(me), 0u);  // no refresh nudge to serve
+    EXPECT_EQ(rt.poll(me), 0u);  // no cell to serve
 
     const auto owner = rt.slot_snapshot(1).delta(owner_before);
     const auto mine = rt.slot_snapshot(me).delta(me_before);
     EXPECT_EQ(owner.get(obs::Counter::kReplInvalidations), 0u);
-    EXPECT_EQ(owner.get(obs::Counter::kLocksTaken), 6u);  // one per write
+    EXPECT_EQ(owner.get(obs::Counter::kLocksTaken), 0u);  // no master mutex
     EXPECT_EQ(mine.get(obs::Counter::kXcallCellsDrained), 0u);
-    EXPECT_EQ(mine.get(obs::Counter::kLocksTaken), 0u);  // no pull
+    EXPECT_EQ(mine.get(obs::Counter::kLocksTaken), 0u);
     EXPECT_EQ(kv.get_remote(me, 1, 1, 1), std::optional<Word>(10));
     EXPECT_EQ(kv.get_remote(me, 1, 1, 4), std::optional<Word>(40));
     EXPECT_FALSE(kv.get_remote(me, 1, 1, 3).has_value());
@@ -396,24 +396,160 @@ TEST(KvService, UnchangedHotSetWritesPublishNothing) {
 }
 
 TEST(KvService, ChangedHotValueStillPublishesToEverySlot) {
-  // The regression guard: changing an admitted key's value publishes to
-  // both slots, and after its refresh the caller reads the new value from
-  // its own replica.
+  // The regression guard: changing an admitted key's value publishes the
+  // owner's record once, inside the put, and every slot then reads the
+  // new value from it — no refresh cell to drain first.
   with_full_hot_set([](Runtime& rt, KvService& kv, SlotId me) {
     const auto owner_before = rt.slot_snapshot(1);
     const auto me_before = rt.slot_snapshot(me);
     ASSERT_EQ(kv.put_remote(me, 1, 1, 1, 11), Status::kOk);
-    EXPECT_GT(rt.poll(me), 0u);  // the refresh nudge
+    EXPECT_EQ(rt.poll(me), 0u);  // no refresh cell
     const auto owner = rt.slot_snapshot(1).delta(owner_before);
     const auto mine = rt.slot_snapshot(me).delta(me_before);
-    EXPECT_EQ(owner.get(obs::Counter::kReplInvalidations), 2u);
-    EXPECT_EQ(mine.get(obs::Counter::kXcallCellsDrained), 1u);
+    EXPECT_EQ(owner.get(obs::Counter::kReplInvalidations), 1u);
+    EXPECT_EQ(mine.get(obs::Counter::kXcallCellsDrained), 0u);
 
+    // Served from the record: the caller posts nothing, and the owner
+    // (where calls_remote is booked) executes nothing.
     const auto before_get = rt.slot_snapshot(me);
+    const auto owner_before_get = rt.slot_snapshot(1);
     EXPECT_EQ(kv.get_remote(me, 1, 1, 1), std::optional<Word>(11));
     const auto get = rt.slot_snapshot(me).delta(before_get);
-    EXPECT_EQ(get.get(obs::Counter::kCallsRemote), 0u);  // from the replica
+    EXPECT_EQ(get.get(obs::Counter::kXcallPosts), 0u);
+    EXPECT_EQ(rt.slot_snapshot(1).delta(owner_before_get).get(
+                  obs::Counter::kCallsRemote),
+              0u);
   });
+}
+
+TEST(KvService, HotSetElectsTheHottestKeysByFrequency) {
+  // The full set holds two cold keys admitted write-through. A skewed get
+  // stream (keys 7 and 8 draw 20% each, fifty others 1.2% each) runs for
+  // four epochs' worth of gets: the owner's first election admits 7 and 8,
+  // which then answer from its record without a call, while the evicted
+  // cold member goes back to the owner.
+  with_full_hot_set([](Runtime& rt, KvService& kv, SlotId me) {
+    for (Word k = 7; k < 60; ++k) {
+      ASSERT_EQ(kv.put_remote(me, 1, 1, k, k * 10), Status::kOk);
+    }
+    for (std::uint32_t i = 0; i < 4 * kKvHotEpochOps; ++i) {
+      const Word k = i % 5 == 0 ? 7 : i % 5 == 1 ? 8 : 10 + i % 50;
+      ASSERT_EQ(kv.get_remote(me, 1, 1, k), std::optional<Word>(k * 10));
+    }
+    const auto owner_before = rt.slot_snapshot(1);
+    const auto me_before = rt.slot_snapshot(me);
+    EXPECT_EQ(kv.get_remote(me, 1, 1, 7), std::optional<Word>(70));
+    EXPECT_EQ(kv.get_remote(me, 1, 1, 8), std::optional<Word>(80));
+    EXPECT_EQ(rt.slot_snapshot(1).delta(owner_before).get(
+                  obs::Counter::kCallsRemote),
+              0u);
+    EXPECT_EQ(rt.slot_snapshot(me).delta(me_before).get(
+                  obs::Counter::kXcallPosts),
+              0u);
+
+    const auto evicted_before = rt.slot_snapshot(1);
+    EXPECT_EQ(kv.get_remote(me, 1, 1, 1), std::optional<Word>(10));
+    EXPECT_EQ(rt.slot_snapshot(1).delta(evicted_before).get(
+                  obs::Counter::kCallsRemote),
+              1u);
+  });
+}
+
+TEST(KvService, MemberPutIsReadFromAnotherSlotWithoutAPoll) {
+  // The owner publishes inside the put's handler, before it replies, so a
+  // reader on any other slot sees the new value at once: nobody polls,
+  // and the read makes no call.
+  Runtime rt(3);
+  const SlotId me = rt.register_thread();
+  constexpr SlotId kOwner = 2;  // never registered: puts direct-execute
+  KvService::Config cfg;
+  cfg.replicated_hot_capacity = 8;
+  KvService kv(rt, cfg);
+  ASSERT_EQ(kv.put_remote(me, kOwner, 1, 10, 111), Status::kOk);  // admitted
+  ASSERT_EQ(kv.put_remote(me, kOwner, 1, 10, 222), Status::kOk);
+
+  const auto owner_before = rt.slot_snapshot(kOwner);
+  std::optional<Word> seen;
+  SlotId reader_slot = kOwner;
+  std::thread reader([&] {
+    reader_slot = rt.register_thread();
+    seen = kv.get_remote(reader_slot, kOwner, 1, 10);
+  });
+  reader.join();
+  EXPECT_NE(reader_slot, kOwner);
+  EXPECT_EQ(seen, std::optional<Word>(222));
+  EXPECT_EQ(rt.slot_snapshot(kOwner).delta(owner_before).get(
+                obs::Counter::kCallsRemote),
+            0u);
+}
+
+TEST(KvService, GateThievesPublishingMembersNeverTearAReader) {
+  // Two threads steal an idle owner's gate to put and erase its hot keys;
+  // each erase moves the last member into the hole, so the key at a given
+  // record index keeps changing. A third thread reads those keys: every
+  // value it gets back — from the record or from the owner — must carry
+  // the tag of the key it asked for. Under TSan this also shows the
+  // single-writer rule holds across thieves.
+  Runtime rt(4);
+  constexpr SlotId kOwner = 3;  // only three threads register
+  KvService::Config cfg;
+  cfg.replicated_hot_capacity = 4;
+  cfg.enforce_ownership = false;
+  KvService kv(rt, cfg);
+  const auto tag = [](Word k) { return (k * 0x9E37u) & 0xFFFFu; };
+  const auto make = [&](Word k, Word v) { return (tag(k) << 16) | (v & 0xFFFFu); };
+
+  // Gate contention can leave one side backing off while the other runs
+  // alone, so the thieves pace themselves by the reader's rounds: reads
+  // and writes really interleave.
+  std::atomic<int> rounds{0};
+  std::atomic<int> writers_done{0};
+  std::atomic<std::uint64_t> torn{0};
+  std::atomic<std::uint64_t> record_hits{0};
+  auto writer = [&](Word first) {
+    const SlotId me = rt.register_thread();
+    for (Word i = 1; i <= 3000; ++i) {
+      while (rounds.load(std::memory_order_acquire) < static_cast<int>(i / 4)) {
+        std::this_thread::yield();
+      }
+      const Word k = first + (i & 1u);
+      kv.put_remote(me, kOwner, 1, k, make(k, i));
+      if (i % 3 == 0) {
+        RegSet r;
+        r[0] = k;
+        ppc::set_op(r, kKvErase);
+        rt.call_remote(me, kOwner, 1, kv.ep(), r);
+      }
+    }
+    writers_done.fetch_add(1, std::memory_order_release);
+  };
+  std::thread a(writer, Word{1});
+  std::thread b(writer, Word{3});
+  std::thread reader([&] {
+    const SlotId me = rt.register_thread();
+    // A call shows on the reader's own block: a ring post, or the two
+    // shared RMWs of a gate steal. A read that books neither came from
+    // the owner's record.
+    const obs::SlotCounters& mine = rt.counters(me);
+    const auto calls = [&] {
+      return mine.get(obs::Counter::kXcallPosts) +
+             mine.get(obs::Counter::kSharedLinesTouched);
+    };
+    while (writers_done.load(std::memory_order_acquire) < 2) {
+      for (Word k = 1; k <= 4; ++k) {
+        const std::uint64_t c0 = calls();
+        const std::optional<Word> v = kv.get_remote(me, kOwner, 1, k);
+        if (v && (*v >> 16) != tag(k)) torn.fetch_add(1);
+        if (v && calls() == c0) record_hits.fetch_add(1);
+      }
+      rounds.fetch_add(1, std::memory_order_release);
+    }
+  });
+  a.join();
+  b.join();
+  reader.join();
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_GT(record_hits.load(), 0u);
 }
 
 TEST(KvService, VectoredOpsCorrectAcrossChunkSizes) {
