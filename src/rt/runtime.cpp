@@ -624,11 +624,14 @@ std::size_t Runtime::drain_ring(Slot& slot, XcallRing& ring) {
 
 std::size_t Runtime::drain_mask(Slot& slot,
                                 std::atomic<std::uint64_t>& mask) {
-  // One acquire exchange claims every doorbell rung so far; the acquire
-  // pairs with the producers' release fetch_or, so a flagged ring's cells
-  // are visible. Bits we consume but whose ring refills mid-drain are
-  // re-armed below — the consumer never strands a cell behind a bit a
-  // producer believes is still set.
+  // An idle poll is one load: the exchange below would take the line
+  // producers ring exclusive and make every producer's doorbell check
+  // miss. Otherwise one acquire exchange claims every doorbell rung so
+  // far; the acquire pairs with the producers' release fetch_or, so a
+  // flagged ring's cells are visible. Bits we consume but whose ring
+  // refills mid-drain are re-armed below — the consumer never strands a
+  // cell behind a bit a producer believes is still set.
+  if (mask.load(std::memory_order_relaxed) == 0) return 0;
   std::uint64_t ready = mask.exchange(0, std::memory_order_acquire);
   if (ready == 0) return 0;
   const std::uint32_t nslots = registry_.capacity();
@@ -1235,7 +1238,11 @@ Status Runtime::submit(Call& c, Enc& enc) {
   while (i < n) {
     const std::uint64_t t0 =
         kLane.rtt != obs::Hist::kCount ? host_cycles() : 0;
-    if (c.tgt.gate.try_steal()) {
+    // The first steal waits out another caller's direct call (kStolen):
+    // that hold is far shorter than the ring round trip behind it. An
+    // awake owner (kOwner) is refused at once; it serves the ring itself.
+    if (c.tgt.gate.steal_or_wait(i == 0 ? kWaitSpins : 0,
+                                 c.req.abs_deadline_cycles)) {
       open_span(c, kLane.direct_span);
       i = run_direct(c, enc, i);
       if constexpr (kLane.rtt != obs::Hist::kCount) {
@@ -1469,7 +1476,7 @@ std::size_t Runtime::poll(SlotId slot_id) {
     fn();
   });
   // Ready-mask scheduling: drain only the producer rings whose doorbell is
-  // rung — idle polls cost one exchange, busy ones O(popcount) — with a
+  // rung — idle polls cost one load, busy ones O(popcount) — with a
   // full scan every kPollScanPeriod-th poll as the lost-doorbell backstop.
   if (++slot.polls_since_scan >= kPollScanPeriod) {
     slot.polls_since_scan = 0;

@@ -277,7 +277,9 @@ class Runtime {
   /// state, from the thread owning `caller_slot`. Adaptive: if the target
   /// slot is idle (parked in serve(), or never registered) the call is
   /// direct-executed on the calling thread under a gate steal — zero
-  /// context switches, zero allocations; otherwise a cell is posted into
+  /// context switches, zero allocations. A gate another caller holds for
+  /// its own direct call is waited out for up to kWaitSpins polls (never
+  /// past the call's deadline); otherwise a cell is posted into
   /// the target's bounded ring and the caller spin-then-yields on the
   /// completion word, helping (stealing + draining) if the owner parks
   /// meanwhile. `target == caller_slot` degenerates to a local call().
@@ -648,7 +650,6 @@ class Runtime {
     // Arena-placed on this slot's node (storage is the arena's); the
     // vector's size is the pool-conservation invariant shutdown() asserts.
     std::vector<XcallWait*> owned_waits;
-    SlotGate gate;        // remote-CASed: keep off the hot members' lines
     // Per-producer xcall channels, indexed by the PRODUCER's slot id: each
     // (src, dst) pair gets its own ring, so concurrent posters to one slot
     // never CAS the same enqueue cursor (the rings stay MPSC internally:
@@ -659,6 +660,10 @@ class Runtime {
     // consumer's local memory — the paper's "structures live on the
     // processor's own station" rule applied to the ring layer.
     XcallRing* rings = nullptr;
+    // Remote-CASed and polled by callers waiting out a thief: its own line,
+    // so a steal does not invalidate `rings`, which every producer reads
+    // on every post, nor the doorbell below.
+    alignas(kHostCacheLine) SlotGate gate;
     // The doorbell word. Bit b = min(src, 63) set means "rings[src] may
     // hold undrained cells" — producers set it (release) on post iff they
     // saw it clear; the consumer exchanges it to 0 (acquire) and drains

@@ -32,10 +32,13 @@
 //                remote caller may then CAS the gate to kStolen and run
 //                the call directly against the target slot's pools — the
 //                host analogue of LRPC thread migration — instead of
-//                paying two context switches for a ring round trip. All
-//                slot state handed across the gate is synchronized by the
-//                acquire/release CAS pair, so single-consumer structures
-//                stay single-consumer *at a time*.
+//                paying two context switches for a ring round trip. A
+//                caller that finds another thief holding the gate waits
+//                that short hold out, for a bounded spin, before it falls
+//                back to the ring (steal_or_wait). All slot state handed
+//                across the gate is synchronized by the acquire/release
+//                CAS pair, so single-consumer structures stay
+//                single-consumer *at a time*.
 //
 //   DoneWord   — the completion state machine shared by the in-process
 //                XcallWait and the cross-process shm::ShmWait: one atomic
@@ -429,13 +432,35 @@ class SlotGate {
  public:
   enum : std::uint32_t { kOwner = 0, kIdle = 1, kStolen = 2 };
 
-  /// Remote caller: try to take the slot for direct execution.
-  bool try_steal() {
-    std::uint32_t expect = kIdle;
-    return state_.compare_exchange_strong(expect, kStolen,
-                                          std::memory_order_acquire,
-                                          std::memory_order_relaxed);
+  /// Remote caller: take the slot for direct execution, waiting out
+  /// another thief. A kStolen gate is held for one direct call or
+  /// help-drain, far shorter than the ring round trip a refused caller
+  /// pays instead, so the caller polls it — a load of a line it holds
+  /// shared until the thief's release store — and steals it once it reads
+  /// kIdle. It gives up after `spins` polls, or once `deadline` (a
+  /// host_cycles() tick; 0 = none) has passed. A kOwner gate is refused at
+  /// once: its owner is awake and serves the ring. Only an idle gate is
+  /// CASed, so a refused steal is one load of a shared line, not a failing
+  /// RMW that pulls the line exclusive away from every other caller.
+  bool steal_or_wait(int spins, std::uint64_t deadline) {
+    for (int i = 0;; ++i) {
+      const std::uint32_t s = state_.load(std::memory_order_relaxed);
+      if (s == kOwner) return false;
+      std::uint32_t expect = kIdle;
+      if (s == kIdle && state_.compare_exchange_strong(
+                            expect, kStolen, std::memory_order_acquire,
+                            std::memory_order_relaxed)) {
+        return true;
+      }
+      if (i >= spins || (deadline != 0 && host_cycles() >= deadline)) {
+        return false;
+      }
+      cpu_relax();
+    }
   }
+
+  /// Remote caller: take the slot only if it is idle now.
+  bool try_steal() { return steal_or_wait(0, 0); }
 
   /// Remote caller: hand the slot back after direct execution.
   void release_steal() { state_.store(kIdle, std::memory_order_release); }
@@ -478,7 +503,9 @@ class SlotGate {
   std::atomic<std::uint32_t> state_{kIdle};
 };
 
-/// Relax polls of the done word per ladder round.
+/// Relax polls of the done word per ladder round — and the polls a caller
+/// spends waiting out another thief's hold on a slot gate (steal_or_wait)
+/// before it posts: the window a ring waiter spins before it first helps.
 inline constexpr int kWaitSpins = 96;
 
 /// Yield rounds a no-deadline waiter burns (helping once per round) before

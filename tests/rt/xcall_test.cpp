@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <span>
 #include <thread>
 #include <vector>
@@ -171,6 +172,53 @@ TEST(SlotGate, OwnerBlocksThievesUntilIdle) {
   owner.join();
   EXPECT_TRUE(resumed.load());
   EXPECT_EQ(gate.state(), SlotGate::kOwner);
+}
+
+constexpr int kUnbounded = std::numeric_limits<int>::max();
+
+TEST(SlotGate, WaitStealsAnIdleGateAtOnce) {
+  SlotGate gate;
+  EXPECT_TRUE(gate.steal_or_wait(/*spins=*/0, /*deadline=*/0));
+  EXPECT_EQ(gate.state(), SlotGate::kStolen);
+}
+
+TEST(SlotGate, WaitRefusesAnOwnerGateAtOnce) {
+  // An awake owner serves its own ring: even an unbounded budget is not
+  // spent waiting on it (a wait here would never return).
+  SlotGate gate;
+  gate.claim_at_register();
+  EXPECT_FALSE(gate.steal_or_wait(kUnbounded, /*deadline=*/0));
+  EXPECT_EQ(gate.state(), SlotGate::kOwner);
+}
+
+TEST(SlotGate, WaitStealsAGateItsThiefReleases) {
+  SlotGate gate;
+  ASSERT_TRUE(gate.try_steal());  // another caller's direct call
+  std::atomic<bool> waiting{false};
+  bool stolen = false;
+  std::thread waiter([&] {
+    waiting.store(true, std::memory_order_release);
+    stolen = gate.steal_or_wait(kUnbounded, /*deadline=*/0);
+  });
+  while (!waiting.load(std::memory_order_acquire)) std::this_thread::yield();
+  gate.release_steal();
+  waiter.join();
+  EXPECT_TRUE(stolen);
+  EXPECT_EQ(gate.state(), SlotGate::kStolen);
+}
+
+TEST(SlotGate, WaitGivesUpOnAHeldGateAfterItsBudget) {
+  SlotGate gate;
+  ASSERT_TRUE(gate.try_steal());
+  EXPECT_FALSE(gate.steal_or_wait(kWaitSpins, /*deadline=*/0));
+  EXPECT_EQ(gate.state(), SlotGate::kStolen);
+}
+
+TEST(SlotGate, WaitGivesUpOnAHeldGateOnceTheDeadlinePassed) {
+  SlotGate gate;
+  ASSERT_TRUE(gate.try_steal());
+  EXPECT_FALSE(gate.steal_or_wait(kUnbounded, /*deadline=*/1));
+  EXPECT_EQ(gate.state(), SlotGate::kStolen);
 }
 
 // ---------------------------------------------------------------------------
@@ -626,6 +674,106 @@ TEST(CallRemote, DeadlineCallCompletesNormallyOnLiveServer) {
   // The pooled-wait path is still allocation-free once warm: one block
   // serves all 200 calls.
   EXPECT_EQ(rt.shared_counters().get(obs::Counter::kMailboxAllocs), 0u);
+}
+
+// Slot 2 never registers, so its gate is idle. A thief thread on slot 1
+// steals it for one direct call whose handler holds the gate until
+// `release` returns true; every other call to the service is counted in
+// `other_runs`. The hold is capped at 10 s, so a caller that waits on the
+// gate without bound fails its test instead of hanging it.
+class GateThief {
+ public:
+  static constexpr SlotId kTarget = 2;
+  static constexpr Word kThiefArg = 0x7417;
+
+  template <typename Release>
+  GateThief(Runtime& rt, Release release) {
+    ep_ = rt.bind({.name = "held"}, /*program=*/0,
+                  [this, release](RtCtx&, ppc::RegSet& r) {
+                    if (r[0] == kThiefArg) {
+                      holding_.store(true, std::memory_order_release);
+                      const auto cap = std::chrono::steady_clock::now() +
+                                       std::chrono::seconds(10);
+                      while (!release() &&
+                             std::chrono::steady_clock::now() < cap) {
+                        std::this_thread::yield();
+                      }
+                    } else {
+                      other_runs_.fetch_add(1, std::memory_order_relaxed);
+                    }
+                    r[1] = r[0] + 1;
+                    ppc::set_rc(r, Status::kOk);
+                  });
+    thread_ = std::thread([this, &rt] {
+      const SlotId me = rt.register_thread();
+      EXPECT_EQ(me, 1u);
+      ppc::RegSet r = make_regs(kThiefArg);
+      status_ = rt.call_remote(me, kTarget, 1, ep_, r);
+    });
+    while (!holding_.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+  }
+  GateThief(const GateThief&) = delete;
+  GateThief& operator=(const GateThief&) = delete;
+  ~GateThief() {
+    if (thread_.joinable()) thread_.join();
+  }
+
+  EntryPointId ep() const { return ep_; }
+  int other_runs() const { return other_runs_.load(); }
+  Status join() {
+    thread_.join();
+    return status_;
+  }
+
+ private:
+  EntryPointId ep_ = 0;
+  std::atomic<bool> holding_{false};
+  std::atomic<int> other_runs_{0};
+  Status status_ = Status::kServerError;
+  std::thread thread_;
+};
+
+TEST(CallRemote, CallBehindALongThiefPostsAndIsServedAtItsRelease) {
+  // The thief holds the gate past the wait-out budget: it lets go only
+  // once our post has ticked, and its release-time drain serves our cell.
+  Runtime rt(3);
+  const SlotId me = rt.register_thread();
+  ASSERT_EQ(me, 0u);
+  const obs::SlotCounters& mine = rt.counters(me);
+  GateThief thief(rt, [&mine] {
+    return mine.get(obs::Counter::kXcallPosts) != 0;
+  });
+  ppc::RegSet r = make_regs(41);
+  EXPECT_EQ(rt.call_remote(me, GateThief::kTarget, 1, thief.ep(), r),
+            Status::kOk);
+  EXPECT_EQ(r[1], 42u);
+  EXPECT_EQ(thief.join(), Status::kOk);
+  EXPECT_EQ(thief.other_runs(), 1);
+  EXPECT_EQ(mine.get(obs::Counter::kXcallPosts), 1u);
+  // Only the thief's call ran direct; ours rode the ring.
+  EXPECT_EQ(rt.counters(GateThief::kTarget).get(obs::Counter::kXcallDirect),
+            1u);
+}
+
+TEST(CallRemote, DeadlineCallBehindAThiefExpiresAndNeverRuns) {
+  std::atomic<bool> done{false};
+  Runtime rt(3);
+  const SlotId me = rt.register_thread();
+  ASSERT_EQ(me, 0u);
+  GateThief thief(rt, [&done] { return done.load(); });
+  CallOptions opts;
+  opts.deadline_cycles = 200'000;  // expires long before the thief lets go
+  ppc::RegSet r = make_regs(7);
+  EXPECT_EQ(rt.call_remote(me, GateThief::kTarget, 1, thief.ep(), r, opts),
+            Status::kDeadlineExceeded);
+  EXPECT_EQ(ppc::rc_of(r), Status::kDeadlineExceeded);
+  done.store(true);
+  EXPECT_EQ(thief.join(), Status::kOk);
+  // The thief's release-time drain skipped the abandoned cell.
+  EXPECT_EQ(thief.other_runs(), 0);
+  EXPECT_EQ(rt.counters(me).get(obs::Counter::kDeadlineExceeded), 1u);
 }
 
 TEST(CallRemote, ShedsAtWatermark) {
